@@ -120,26 +120,23 @@ let tests () =
              ignore
                (Dvs_core.Relaxation.bound gs_relax
                   ~deadlines_us:gs_deadlines_us)));
-      Test.make ~name:"root-lp-ghostscript"
+      Test.make ~name:"lp-root-solve-ghostscript"
         (Staged.stage (fun () ->
              ignore
                (Dvs_lp.Simplex.solve
                   gs_formulation.Dvs_core.Formulation.model)));
-      (* The basis-backend pair: the same root relaxation of the largest
-         Figure-18 instance solved pivot-for-pivot identically by both
-         backends — every pivot runs one FTRAN, one BTRAN and one
-         pivot-row price, so the gap between these two rows is exactly
-         the dense-inverse vs sparse-LU+eta linear-algebra cost. *)
-      Test.make ~name:"lp-basis-lu-ghostscript"
-        (Staged.stage (fun () ->
+      (* The pricing pair: the same root relaxation of the largest
+         Figure-18 instance under steepest-edge (devex) pricing, the
+         default, and under Dantzig pricing.  Devex pays one extra
+         pivot-row BTRAN per pivot for its weights. *)
+      Test.make ~name:"lp-root-solve-ghostscript-dantzig"
+        (let c =
+           Dvs_lp.Compiled.of_model gs_formulation.Dvs_core.Formulation.model
+         in
+         Staged.stage (fun () ->
              ignore
-               (Dvs_lp.Simplex.solve ~backend:Dvs_lp.Simplex.Lu
-                  gs_formulation.Dvs_core.Formulation.model)));
-      Test.make ~name:"lp-basis-dense-ghostscript"
-        (Staged.stage (fun () ->
-             ignore
-               (Dvs_lp.Simplex.solve ~backend:Dvs_lp.Simplex.Dense
-                  gs_formulation.Dvs_core.Formulation.model)));
+               (Dvs_lp.Simplex.solve_compiled ~pricing:Dvs_lp.Simplex.Dantzig
+                  c)));
       Test.make ~name:"analytical-discrete-optimize"
         (Staged.stage (fun () ->
              ignore (Dvs_analytical.Discrete.optimize params table7)));

@@ -17,36 +17,74 @@
    remapped into permuted coordinates and transposed (counting sort)
    once at the end, so each factor exists in both column- and
    row-major form and all four triangular solves can run in scatter
-   (push) order with zero-skip tests. *)
+   (push) order with zero-skip tests.
+
+   A factorization owns every buffer it works in — the factors, the
+   permutations and the elimination scratch — and [refactor] rebuilds
+   it in place, growing a buffer only when a larger basis needs it.  A
+   simplex workspace refactors once every few dozen pivots and once
+   more at the end of every solve, so steady state allocates nothing
+   here: fresh arrays per factorization would be garbage the size of
+   the basis, and past 256 entries OCaml places such arrays straight in
+   the major heap. *)
 
 type t = {
-  m : int;
-  (* L: unit lower triangular, strict part, permuted coordinates. *)
-  lc_ptr : int array;
-  lc_idx : int array;
-  lc_val : float array;
-  lr_ptr : int array;
-  lr_idx : int array;
-  lr_val : float array;
+  mutable m : int;
+  (* L: unit lower triangular, strict part, permuted coordinates; step
+     k's column occupies lc_ptr.(k) .. lc_ptr.(k+1) - 1. *)
+  mutable lc_ptr : int array;
+  mutable lc_idx : int array;
+  mutable lc_val : float array;
+  mutable lr_ptr : int array;
+  mutable lr_idx : int array;
+  mutable lr_val : float array;
   (* U: strict upper part plus a dense diagonal. *)
-  uc_ptr : int array;
-  uc_idx : int array;
-  uc_val : float array;
-  ur_ptr : int array;
-  ur_idx : int array;
-  ur_val : float array;
-  udiag : float array;
-  p : int array;  (* step -> original row *)
-  q : int array;  (* step -> original column (basis position) *)
-  nnz : int;
-  flops : int;
+  mutable uc_ptr : int array;
+  mutable uc_idx : int array;
+  mutable uc_val : float array;
+  mutable ur_ptr : int array;
+  mutable ur_idx : int array;
+  mutable ur_val : float array;
+  mutable udiag : float array;
+  mutable p : int array;  (* step -> original row *)
+  mutable q : int array;  (* step -> original column (basis position) *)
+  mutable nnz : int;
+  mutable flops : int;
+  (* elimination scratch, kept between factorizations *)
+  mutable cptr : int array;
+  mutable crow : int array;
+  mutable cval : float array;
+  mutable rptr : int array;
+  mutable rcol : int array;
+  mutable rval : float array;
+  mutable cnt : int array;
+  mutable ipos : int array;
+  mutable arcnt : int array;
+  mutable accnt : int array;
+  mutable rowgone : Bytes.t;
+  mutable colgone : Bytes.t;
+  mutable qc : int array;
+  mutable qr : int array;
+  mutable act : int array;
+  mutable rcols : int array array;  (* bump rows: columns ... *)
+  mutable rvals : float array array;  (* ... and values *)
+  mutable rlen : int array;
+  mutable colmax : float array;
+  mutable colstamp : int array;
+  mutable pval : float array;
+  mutable pstamp : int array;
+  mutable used : int array;
+  mutable sc_cols : int array;
+  mutable sc_vals : float array;
+  mutable pinv : int array;
+  mutable qinv : int array;
 }
 
 let nnz t = t.nnz
 
 let flops t = t.flops
 
-let abs_tol = 1e-11 (* matches the dense Gauss-Jordan singularity test *)
+let abs_tol = 1e-11 (* smallest acceptable pivot magnitude *)
 
 let grow_i a used need =
   if Array.length a >= need then a
@@ -64,20 +102,64 @@ let grow_f a used need =
     b
   end
 
+let create () =
+  {
+    m = 0;
+    lc_ptr = [| 0 |]; lc_idx = [||]; lc_val = [||];
+    lr_ptr = [| 0 |]; lr_idx = [||]; lr_val = [||];
+    uc_ptr = [| 0 |]; uc_idx = [||]; uc_val = [||];
+    ur_ptr = [| 0 |]; ur_idx = [||]; ur_val = [||];
+    udiag = [||]; p = [||]; q = [||];
+    nnz = 0; flops = 0;
+    cptr = [||]; crow = [||]; cval = [||];
+    rptr = [||]; rcol = [||]; rval = [||];
+    cnt = [||]; ipos = [||];
+    arcnt = [||]; accnt = [||];
+    rowgone = Bytes.empty; colgone = Bytes.empty;
+    qc = [||]; qr = [||]; act = [||];
+    rcols = [||]; rvals = [||]; rlen = [||];
+    colmax = [||]; colstamp = [||]; pval = [||]; pstamp = [||]; used = [||];
+    sc_cols = [||]; sc_vals = [||];
+    pinv = [||]; qinv = [||];
+  }
+
+(* Size every per-row/per-column buffer for an [m]-row basis. *)
+let ensure_rows t m =
+  if Array.length t.p < m then begin
+    let mi () = Array.make m 0 and mf () = Array.make m 0.0 in
+    let mp () = Array.make (m + 1) 0 in
+    t.lc_ptr <- mp (); t.lr_ptr <- mp (); t.uc_ptr <- mp (); t.ur_ptr <- mp ();
+    t.udiag <- mf (); t.p <- mi (); t.q <- mi ();
+    t.cptr <- mp (); t.rptr <- mp (); t.cnt <- mp (); t.ipos <- mp ();
+    t.arcnt <- mi (); t.accnt <- mi ();
+    t.rowgone <- Bytes.make m '\000'; t.colgone <- Bytes.make m '\000';
+    t.qc <- mi (); t.qr <- mi (); t.act <- mi ();
+    let more = m - Array.length t.rcols in
+    t.rcols <- Array.append t.rcols (Array.make more [||]);
+    t.rvals <- Array.append t.rvals (Array.make more [||]);
+    t.rlen <- mi ();
+    t.colmax <- mf (); t.colstamp <- mi (); t.pval <- mf ();
+    t.pstamp <- mi (); t.used <- mi ();
+    t.sc_cols <- mi (); t.sc_vals <- mf ();
+    t.pinv <- mi (); t.qinv <- mi ()
+  end
+
 (* Transpose a CSC-like (ptr, idx, val) of [m] columns into CSR over
-   [m] rows, with column indices stored per row. *)
-let transpose m ptr idx vals =
+   [m] rows (column indices stored per row), writing into [tptr] and
+   the grown [tidx]/[tval], which are returned. *)
+let transpose t m ptr idx vals tptr tidx tval =
   let len = ptr.(m) in
-  let cnt = Array.make (m + 1) 0 in
+  let cnt = t.cnt and pos = t.ipos in
+  Array.fill cnt 0 (m + 1) 0;
   for p = 0 to len - 1 do
     cnt.(idx.(p)) <- cnt.(idx.(p)) + 1
   done;
-  let tptr = Array.make (m + 1) 0 in
+  tptr.(0) <- 0;
   for i = 0 to m - 1 do
     tptr.(i + 1) <- tptr.(i) + cnt.(i)
   done;
-  let pos = Array.copy tptr in
-  let tidx = Array.make len 0 and tval = Array.make len 0.0 in
+  Array.blit tptr 0 pos 0 (m + 1);
+  let tidx = grow_i tidx 0 len and tval = grow_f tval 0 len in
   for j = 0 to m - 1 do
     for p = ptr.(j) to ptr.(j + 1) - 1 do
       let i = idx.(p) in
@@ -87,27 +169,27 @@ let transpose m ptr idx vals =
       pos.(i) <- q + 1
     done
   done;
-  (tptr, tidx, tval)
+  (tidx, tval)
 
-let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
-  if m = 0 then
-    Some
-      {
-        m = 0;
-        lc_ptr = [| 0 |]; lc_idx = [||]; lc_val = [||];
-        lr_ptr = [| 0 |]; lr_idx = [||]; lr_val = [||];
-        uc_ptr = [| 0 |]; uc_idx = [||]; uc_val = [||];
-        ur_ptr = [| 0 |]; ur_idx = [||]; ur_val = [||];
-        udiag = [||];
-        p = [||]; q = [||];
-        nnz = 0;
-        flops = 0;
-      }
+let gone b i = Bytes.unsafe_get b i <> '\000'
+
+let set_gone b i = Bytes.unsafe_set b i '\001'
+
+let refactor t ~m ~ptr ~row ~vals ?(tau = 0.1) () =
+  ensure_rows t m;
+  t.m <- m;
+  t.nnz <- 0;
+  t.flops <- 0;
+  if m = 0 then begin
+    t.lc_ptr.(0) <- 0; t.lr_ptr.(0) <- 0; t.uc_ptr.(0) <- 0; t.ur_ptr.(0) <- 0;
+    true
+  end
   else begin
     (* Static filtered copy of the basis (explicit zeros dropped): CSC
        plus its CSR transpose.  The singleton phase works on these with
        alive flags — it never creates fill, so nothing grows. *)
-    let cptr = Array.make (m + 1) 0 in
+    let cptr = t.cptr in
+    cptr.(0) <- 0;
     for j = 0 to m - 1 do
       let c = ref 0 in
       for p = ptr.(j) to ptr.(j + 1) - 1 do
@@ -116,8 +198,9 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
       cptr.(j + 1) <- cptr.(j) + !c
     done;
     let len = cptr.(m) in
-    let crow = Array.make (max 1 len) 0 in
-    let cval = Array.make (max 1 len) 0.0 in
+    t.crow <- grow_i t.crow 0 len;
+    t.cval <- grow_f t.cval 0 len;
+    let crow = t.crow and cval = t.cval in
     let pos = ref 0 in
     for j = 0 to m - 1 do
       for p = ptr.(j) to ptr.(j + 1) - 1 do
@@ -128,22 +211,29 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
         end
       done
     done;
-    let rptr, rcol, rval = transpose m cptr crow cval in
-    let arcnt = Array.make m 0 and accnt = Array.make m 0 in
+    let rcol, rval = transpose t m cptr crow cval t.rptr t.rcol t.rval in
+    t.rcol <- rcol;
+    t.rval <- rval;
+    let rptr = t.rptr in
+    let arcnt = t.arcnt and accnt = t.accnt in
     for j = 0 to m - 1 do
       accnt.(j) <- cptr.(j + 1) - cptr.(j)
     done;
     for i = 0 to m - 1 do
       arcnt.(i) <- rptr.(i + 1) - rptr.(i)
     done;
-    let rowgone = Array.make m false and colgone = Array.make m false in
-    let perm_p = Array.make m (-1) and perm_q = Array.make m (-1) in
+    let rowgone = t.rowgone and colgone = t.colgone in
+    Bytes.fill rowgone 0 m '\000';
+    Bytes.fill colgone 0 m '\000';
+    let perm_p = t.p and perm_q = t.q in
+    Array.fill perm_p 0 m (-1);
+    Array.fill perm_q 0 m (-1);
     (* L columns and U rows accumulate in step order. *)
-    let lc_ptr = Array.make (m + 1) 0 in
-    let lc_idx = ref [||] and lc_val = ref [||] and lc_len = ref 0 in
-    let ur_ptr = Array.make (m + 1) 0 in
-    let ur_idx = ref [||] and ur_val = ref [||] and ur_len = ref 0 in
-    let udiag = Array.make m 0.0 in
+    let lc_ptr = t.lc_ptr in
+    let lc_len = ref 0 in
+    let ur_ptr = t.ur_ptr in
+    let ur_len = ref 0 in
+    let udiag = t.udiag in
     let work = ref 0 in
     let step = ref 0 in
     (* ---- Phase 1: peel row/column singletons -------------------------- *)
@@ -154,8 +244,8 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
        whose pivot is below [abs_tol] is left alone; the bump phase will
        refuse it too and report the basis singular if nothing else
        covers it. *)
-    let qc = Array.make m 0 and qc_h = ref 0 and qc_t = ref 0 in
-    let qr = Array.make m 0 and qr_h = ref 0 and qr_t = ref 0 in
+    let qc = t.qc and qc_h = ref 0 and qc_t = ref 0 in
+    let qr = t.qr and qr_h = ref 0 and qr_t = ref 0 in
     for j = 0 to m - 1 do
       if accnt.(j) = 1 then begin
         qc.(!qc_t) <- j;
@@ -174,11 +264,11 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
            entries become the U row; no L entries, no arithmetic. *)
         let j = qc.(!qc_h) in
         incr qc_h;
-        if (not colgone.(j)) && accnt.(j) = 1 then begin
+        if (not (gone colgone j)) && accnt.(j) = 1 then begin
           let i = ref (-1) and piv = ref 0.0 in
           (try
              for p = cptr.(j) to cptr.(j + 1) - 1 do
-               if not rowgone.(crow.(p)) then begin
+               if not (gone rowgone crow.(p)) then begin
                  i := crow.(p);
                  piv := cval.(p);
                  raise Exit
@@ -194,11 +284,11 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
             ur_ptr.(!step) <- !ur_len;
             for p = rptr.(i) to rptr.(i + 1) - 1 do
               let c = rcol.(p) in
-              if c <> j && not colgone.(c) then begin
-                ur_idx := grow_i !ur_idx !ur_len (!ur_len + 1);
-                ur_val := grow_f !ur_val !ur_len (!ur_len + 1);
-                !ur_idx.(!ur_len) <- c;
-                !ur_val.(!ur_len) <- rval.(p);
+              if c <> j && not (gone colgone c) then begin
+                t.ur_idx <- grow_i t.ur_idx !ur_len (!ur_len + 1);
+                t.ur_val <- grow_f t.ur_val !ur_len (!ur_len + 1);
+                t.ur_idx.(!ur_len) <- c;
+                t.ur_val.(!ur_len) <- rval.(p);
                 incr ur_len;
                 accnt.(c) <- accnt.(c) - 1;
                 if accnt.(c) = 1 then begin
@@ -207,8 +297,8 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
                 end
               end
             done;
-            rowgone.(i) <- true;
-            colgone.(j) <- true;
+            set_gone rowgone i;
+            set_gone colgone j;
             incr step
           end
         end
@@ -218,11 +308,11 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
            other entries become exact L multipliers. *)
         let i = qr.(!qr_h) in
         incr qr_h;
-        if (not rowgone.(i)) && arcnt.(i) = 1 then begin
+        if (not (gone rowgone i)) && arcnt.(i) = 1 then begin
           let jj = ref (-1) and piv = ref 0.0 in
           (try
              for p = rptr.(i) to rptr.(i + 1) - 1 do
-               if not colgone.(rcol.(p)) then begin
+               if not (gone colgone rcol.(p)) then begin
                  jj := rcol.(p);
                  piv := rval.(p);
                  raise Exit
@@ -238,11 +328,11 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
             ur_ptr.(!step) <- !ur_len;
             for p = cptr.(j) to cptr.(j + 1) - 1 do
               let r = crow.(p) in
-              if r <> i && not rowgone.(r) then begin
-                lc_idx := grow_i !lc_idx !lc_len (!lc_len + 1);
-                lc_val := grow_f !lc_val !lc_len (!lc_len + 1);
-                !lc_idx.(!lc_len) <- r;
-                !lc_val.(!lc_len) <- cval.(p) /. piv;
+              if r <> i && not (gone rowgone r) then begin
+                t.lc_idx <- grow_i t.lc_idx !lc_len (!lc_len + 1);
+                t.lc_val <- grow_f t.lc_val !lc_len (!lc_len + 1);
+                t.lc_idx.(!lc_len) <- r;
+                t.lc_val.(!lc_len) <- cval.(p) /. piv;
                 incr lc_len;
                 incr work;
                 arcnt.(r) <- arcnt.(r) - 1;
@@ -252,8 +342,8 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
                 end
               end
             done;
-            rowgone.(i) <- true;
-            colgone.(j) <- true;
+            set_gone rowgone i;
+            set_gone colgone j;
             incr step
           end
         end
@@ -265,42 +355,46 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
       (* Bump rows become growable (cols, vals) pairs; alive column
          counts carry over in [accnt]. *)
       let nact = ref 0 in
-      let act = Array.make (m - !step) 0 in
+      let act = t.act in
       for i = 0 to m - 1 do
-        if not rowgone.(i) then begin
+        if not (gone rowgone i) then begin
           act.(!nact) <- i;
           incr nact
         end
       done;
-      let rcols = Array.make m [||] and rvals = Array.make m [||] in
-      let rlen = Array.make m 0 in
+      let rcols = t.rcols and rvals = t.rvals in
+      let rlen = t.rlen in
       for ai = 0 to !nact - 1 do
         let i = act.(ai) in
-        let nc = Array.make (max 4 arcnt.(i)) 0 in
-        let nv = Array.make (max 4 arcnt.(i)) 0.0 in
+        if Array.length rcols.(i) < arcnt.(i) then begin
+          rcols.(i) <- Array.make (max 4 arcnt.(i)) 0;
+          rvals.(i) <- Array.make (max 4 arcnt.(i)) 0.0
+        end;
+        let nc = rcols.(i) and nv = rvals.(i) in
         let l = ref 0 in
         for p = rptr.(i) to rptr.(i + 1) - 1 do
           let c = rcol.(p) in
-          if not colgone.(c) then begin
+          if not (gone colgone c) then begin
             nc.(!l) <- c;
             nv.(!l) <- rval.(p);
             incr l
           end
         done;
-        rcols.(i) <- nc;
-        rvals.(i) <- nv;
         rlen.(i) <- !l
       done;
       let ccnt = accnt in
       (* Per-step scratch: column maxima (stamped), pivot-row scatter
          (stamped), per-target-row merge marks (stamped), and a shared
          merge row. *)
-      let colmax = Array.make m 0.0 in
-      let colstamp = Array.make m (-1) in
-      let pval = Array.make m 0.0 in
-      let pstamp = Array.make m (-1) in
-      let used = Array.make m (-1) in
-      let sc_cols = Array.make m 0 and sc_vals = Array.make m 0.0 in
+      let colmax = t.colmax in
+      let colstamp = t.colstamp in
+      let pval = t.pval in
+      let pstamp = t.pstamp in
+      let used = t.used in
+      Array.fill colstamp 0 m (-1);
+      Array.fill pstamp 0 m (-1);
+      Array.fill used 0 m (-1);
+      let sc_cols = t.sc_cols and sc_vals = t.sc_vals in
       let tick = ref 0 in
       (try
          for step = !step to m - 1 do
@@ -360,16 +454,17 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
            let piv = ref 0.0 in
            ur_ptr.(step) <- !ur_len;
            let need = !ur_len + plen - 1 in
-           ur_idx := grow_i !ur_idx !ur_len need;
-           ur_val := grow_f !ur_val !ur_len need;
+           t.ur_idx <- grow_i t.ur_idx !ur_len need;
+           t.ur_val <- grow_f t.ur_val !ur_len need;
+           let ur_idx = t.ur_idx and ur_val = t.ur_val in
            for e = 0 to plen - 1 do
              let c = pcols.(e) and v = pvals_r.(e) in
              if c = pj then piv := v
              else begin
                pstamp.(c) <- step;
                pval.(c) <- v;
-               !ur_idx.(!ur_len) <- c;
-               !ur_val.(!ur_len) <- v;
+               ur_idx.(!ur_len) <- c;
+               ur_val.(!ur_len) <- v;
                incr ur_len
              end
            done;
@@ -390,10 +485,10 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
                if !hit >= 0 then begin
                  let f = vs.(!hit) /. piv in
                  work := !work + 1;
-                 lc_idx := grow_i !lc_idx !lc_len (!lc_len + 1);
-                 lc_val := grow_f !lc_val !lc_len (!lc_len + 1);
-                 !lc_idx.(!lc_len) <- i;
-                 !lc_val.(!lc_len) <- f;
+                 t.lc_idx <- grow_i t.lc_idx !lc_len (!lc_len + 1);
+                 t.lc_val <- grow_f t.lc_val !lc_len (!lc_len + 1);
+                 t.lc_idx.(!lc_len) <- i;
+                 t.lc_val.(!lc_len) <- f;
                  incr lc_len;
                  incr tick;
                  let tk = !tick in
@@ -460,11 +555,11 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
          done
        with Exit -> ())
     end;
-    if !singular then None
+    if !singular then false
     else begin
       lc_ptr.(m) <- !lc_len;
       ur_ptr.(m) <- !ur_len;
-      let pinv = Array.make m 0 and qinv = Array.make m 0 in
+      let pinv = t.pinv and qinv = t.qinv in
       for k = 0 to m - 1 do
         pinv.(perm_p.(k)) <- k;
         qinv.(perm_q.(k)) <- k
@@ -472,31 +567,25 @@ let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
       (* Remap stored indices into permuted coordinates: L entries are
          original rows (pivoted at a later step), U entries original
          columns (ditto). *)
-      let lc_idx = Array.sub !lc_idx 0 !lc_len in
-      let lc_val = Array.sub !lc_val 0 !lc_len in
       for p = 0 to !lc_len - 1 do
-        lc_idx.(p) <- pinv.(lc_idx.(p))
+        t.lc_idx.(p) <- pinv.(t.lc_idx.(p))
       done;
-      let ur_idx = Array.sub !ur_idx 0 !ur_len in
-      let ur_val = Array.sub !ur_val 0 !ur_len in
       for p = 0 to !ur_len - 1 do
-        ur_idx.(p) <- qinv.(ur_idx.(p))
+        t.ur_idx.(p) <- qinv.(t.ur_idx.(p))
       done;
-      let lr_ptr, lr_idx, lr_val = transpose m lc_ptr lc_idx lc_val in
-      let uc_ptr, uc_idx, uc_val = transpose m ur_ptr ur_idx ur_val in
-      Some
-        {
-          m;
-          lc_ptr; lc_idx; lc_val;
-          lr_ptr; lr_idx; lr_val;
-          uc_ptr; uc_idx; uc_val;
-          ur_ptr; ur_idx; ur_val;
-          udiag;
-          p = perm_p;
-          q = perm_q;
-          nnz = m + !lc_len + !ur_len;
-          flops = 2 * !work;
-        }
+      let lr_idx, lr_val =
+        transpose t m lc_ptr t.lc_idx t.lc_val t.lr_ptr t.lr_idx t.lr_val
+      in
+      t.lr_idx <- lr_idx;
+      t.lr_val <- lr_val;
+      let uc_idx, uc_val =
+        transpose t m ur_ptr t.ur_idx t.ur_val t.uc_ptr t.uc_idx t.uc_val
+      in
+      t.uc_idx <- uc_idx;
+      t.uc_val <- uc_val;
+      t.nnz <- m + !lc_len + !ur_len;
+      t.flops <- 2 * !work;
+      true
     end
   end
 

@@ -1,6 +1,6 @@
 (** Sparse LU factorization of a simplex basis.
 
-    [factor] first peels row and column singletons in O(nnz) with
+    [refactor] first peels row and column singletons in O(nnz) with
     worklist queues — LP bases are mostly triangular, so this usually
     eliminates nearly everything, exactly and without fill — then runs
     a right-looking sparse Gaussian elimination on the residual bump
@@ -23,26 +23,37 @@
     This module knows nothing about eta files or the simplex: it
     factors one basis matrix handed to it in CSC form and solves
     against that factorization.  {!Simplex} layers product-form eta
-    updates on top. *)
+    updates on top.
+
+    A factorization owns all its storage, including the elimination
+    scratch, and {!refactor} rebuilds it in place: a caller that keeps
+    one [t] per workspace allocates only when a basis outgrows every
+    earlier one. *)
 
 type t
 
-val factor :
+val create : unit -> t
+(** An empty factorization (of the [0]x[0] matrix), to be filled by
+    {!refactor}. *)
+
+val refactor :
+  t ->
   m:int ->
   ptr:int array ->
   row:int array ->
   vals:float array ->
   ?tau:float ->
   unit ->
-  t option
-(** [factor ~m ~ptr ~row ~vals ()] factors the [m]x[m] matrix whose
-    column [j] holds entries [row.(p), vals.(p)] for
-    [p] in [ptr.(j) .. ptr.(j+1) - 1].  Explicit zeros are dropped.
-    Returns [None] when the matrix is singular to working precision
-    (no candidate pivot of magnitude at least [1e-11] in some step —
-    the same tolerance the dense Gauss–Jordan path uses).  [tau]
-    (default [0.1]) is the threshold-pivoting relative tolerance:
-    smaller values favor sparsity over stability. *)
+  bool
+(** [refactor t ~m ~ptr ~row ~vals ()] factors into [t], reusing its
+    buffers, the [m]x[m] matrix whose column [j] holds entries
+    [row.(p), vals.(p)] for [p] in [ptr.(j) .. ptr.(j+1) - 1].
+    Explicit zeros are dropped.  Returns [false] when the matrix is
+    singular to working precision (no candidate pivot of magnitude at
+    least [1e-11] in some step); [t] must then be refactored before its
+    next solve.  [tau] (default [0.1]) is the threshold-pivoting
+    relative tolerance: smaller values favor sparsity over
+    stability. *)
 
 val nnz : t -> int
 (** Entries in [L] plus [U] including the [m] pivots; compare against

@@ -6,33 +6,29 @@
      [nt, nt + m)  artificials, one per row, existing only where the
                    cold start needs them (coefficient [art_sign]).
 
-   The basis representation is selectable ([basis_kind]):
-
-   - [Lu] (default): a sparse LU factorization of the basis ({!Lu}:
-     Markowitz ordering, threshold partial pivoting) plus a
-     product-form eta file — one eta per pivot, capturing the FTRAN
-     column B^-1 A_e so the factorization itself is never touched
-     between refactorizations.  FTRAN applies the LU triangular solves
-     then the etas in pivot order; BTRAN applies the transposed etas in
-     reverse order then the transposed LU solves.  All four triangular
-     passes run in scatter form and skip exactly-zero components, which
-     is where right-hand-side hypersparsity (unit vectors, slack
-     columns, short structural columns) pays off.
-
-   - [Dense]: the historical kernel — B^-1 as a dense row-major m*m
-     matrix updated by elementary row operations per pivot and rebuilt
-     by full Gauss-Jordan with partial pivoting.  Kept as the
-     correctness oracle and ablation leg.
+   The basis is carried by a sparse LU factorization ({!Lu}: singleton
+   peeling, then Markowitz ordering with threshold partial pivoting)
+   plus a product-form eta file — one eta per pivot, capturing the
+   FTRAN column B^-1 A_e so the factorization itself is never touched
+   between refactorizations.  FTRAN applies the LU triangular solves
+   then the etas in pivot order; BTRAN applies the transposed etas in
+   reverse order then the transposed LU solves.  All four triangular
+   passes run in scatter form and skip exactly-zero components, which
+   is where right-hand-side hypersparsity (unit vectors, slack
+   columns, short structural columns) pays off.
 
    Refactorization is policy-driven ([refactor_policy]): a fixed pivot
-   count, or (the LU default) whenever the eta file outgrows the
-   factorization by a configured factor.  Both backends share the
-   pricing/ratio-test/phase machinery and the final dense
-   factorization in [finish] — so when the two backends walk the same
-   pivot sequence (they do, apart from exact floating-point ties),
-   their reported solutions are bit-identical, not merely close.
-   Everything the iteration touches lives in a reusable workspace, so
-   the pivot loop performs no allocation beyond eta-file growth. *)
+   count, or (the default) whenever the eta file outgrows the
+   factorization by a configured factor.  Every optimal solve finishes
+   on a fresh factorization — the reported values come from one clean
+   FTRAN, not from the incrementally updated basic values — and checks
+   an optimality certificate on that factor (primal feasibility, the
+   reduced-cost sign of every bound status, complementary slackness,
+   and the primal objective against the dual one).  The certificate
+   depends only on the model and the returned basis, never on how the
+   linear algebra reached it.  Everything the iteration touches lives
+   in a reusable workspace, so the pivot loop performs no allocation
+   beyond eta-file growth. *)
 
 module C = Compiled
 
@@ -65,15 +61,11 @@ type basis = {
 
 type pricing = Bland | Dantzig | Steepest_edge
 
-type basis_kind = Lu | Dense
-
 type refactor_policy =
   | Pivots of int
   | Eta_fill of { max_pivots : int; growth : float }
 
-let default_refactor = function
-  | Lu -> Eta_fill { max_pivots = 256; growth = 2.0 }
-  | Dense -> Pivots 128
+let default_refactor = Eta_fill { max_pivots = 256; growth = 2.0 }
 
 type stats = {
   pivots : int;
@@ -83,11 +75,11 @@ type stats = {
   refactorizations : int;
   bland_pivots : int;
   flops : int;
-  lu_refactorizations : int;
   lu_fill_in_nnz : int;
   lu_eta_nnz : int;
   ftran_sparse_hits : int;
   btran_sparse_hits : int;
+  certificate_failures : int;
 }
 
 let pp_status ppf = function
@@ -101,8 +93,6 @@ let pp_status ppf = function
 type workspace = {
   mutable cap_m : int;
   mutable cap_c : int;
-  mutable binv : float array;  (* cap_m^2, row-major *)
-  mutable fact : float array;  (* refactorization scratch, cap_m^2 *)
   mutable xb : float array;  (* basic values per row *)
   mutable y : float array;  (* BTRAN result: c_B B^-1 *)
   mutable w : float array;  (* FTRAN result: B^-1 A_e *)
@@ -115,8 +105,8 @@ type workspace = {
   mutable alpha : float array;  (* pivot row *)
   mutable refw : float array;  (* devex reference weights *)
   mutable cost : float array;  (* current-phase costs *)
-  (* LU backend state *)
-  mutable lu : Lu.t option;  (* current factorization *)
+  (* basis factorization state *)
+  lu : Lu.t;  (* current factorization, rebuilt in place *)
   mutable lutmp : float array;  (* permuted solve scratch, cap_m *)
   mutable rho : float array;  (* BTRAN-of-unit-vector scratch, cap_m *)
   mutable bptr : int array;  (* basis assembly: column pointers, cap_m+1 *)
@@ -153,8 +143,6 @@ let workspace () =
   {
     cap_m = 0;
     cap_c = 0;
-    binv = [||];
-    fact = [||];
     xb = [||];
     y = [||];
     w = [||];
@@ -167,7 +155,7 @@ let workspace () =
     alpha = [||];
     refw = [||];
     cost = [||];
-    lu = None;
+    lu = Lu.create ();
     lutmp = [||];
     rho = [||];
     bptr = [||];
@@ -184,8 +172,6 @@ let workspace () =
 let ensure ws m ncols =
   if ws.cap_m < m then begin
     ws.cap_m <- m;
-    ws.binv <- Array.make (m * m) 0.0;
-    ws.fact <- Array.make (m * m) 0.0;
     ws.xb <- Array.make m 0.0;
     ws.y <- Array.make m 0.0;
     ws.w <- Array.make m 0.0;
@@ -215,21 +201,53 @@ exception Stuck of int
 (* numerically hopeless state (singular refactorization, or a forced
    pivot below tolerance on a fresh factorization) in the given phase.
    Distinct from budget exhaustion: a warm-started solve that gets stuck
-   restarts cold (the hint led to a bad vertex, not the problem); only a
-   cold solve that gets stuck reports {!Iter_limit}. *)
+   restarts cold (the hint led to a bad vertex, not the problem); a cold
+   solve that gets stuck restarts once more with a stricter pivot
+   tolerance, and only if that gets stuck too reports {!Iter_limit}. *)
+
+(* Column i of the basis matrix in CSC form (basis position i = column
+   i of B), assembled into the workspace's reusable buffers; returns the
+   entry count. *)
+let assemble_basis ws c m =
+  let n = c.C.n and nt = c.C.nt in
+  let len = ref 0 in
+  ws.bptr <- grow_int ws.bptr 0 (m + 1);
+  ws.bptr.(0) <- 0;
+  for i = 0 to m - 1 do
+    let k = ws.basis.(i) in
+    let need = if k < n then c.C.col_ptr.(k + 1) - c.C.col_ptr.(k) else 1 in
+    ws.brow <- grow_int ws.brow !len (!len + need);
+    ws.bval <- grow_flt ws.bval !len (!len + need);
+    if k < n then
+      for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
+        ws.brow.(!len) <- c.C.col_row.(p);
+        ws.bval.(!len) <- c.C.col_val.(p);
+        incr len
+      done
+    else if k < nt then begin
+      ws.brow.(!len) <- k - n;
+      ws.bval.(!len) <- 1.0;
+      incr len
+    end
+    else begin
+      ws.brow.(!len) <- k - nt;
+      ws.bval.(!len) <- ws.art_sign.(k - nt);
+      incr len
+    end;
+    ws.bptr.(i + 1) <- !len
+  done;
+  !len
 
 let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
-    ?(eps = 1e-7) ?(backend = Lu) ?refactor ?basis:hint ?ws c =
+    ?(eps = 1e-7) ?(refactor = default_refactor) ?basis:hint ?ws c =
   let n = c.C.n and m = c.C.m and nt = c.C.nt in
   let ncols = nt + m in
   let ws = ensure (match ws with Some w -> w | None -> workspace ()) m ncols in
-  let binv = ws.binv and fact = ws.fact in
-  let use_lu = backend = Lu in
-  let policy =
-    match refactor with Some p -> p | None -> default_refactor backend
-  in
+  let policy = refactor in
   let feas_tol = eps *. 0.01 in
-  let piv_tol = 1e-9 in
+  (* Smallest pivot the ratio tests accept; raised for the strict retry
+     below. *)
+  let piv_tol = ref 1e-9 in
   let rtol = 1e-9 in
   let rhs_scale =
     let s = ref 1.0 in
@@ -250,11 +268,11 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
   and blands = ref 0
   and flops = ref 0
   and since_refactor = ref 0
-  and lu_refacts = ref 0
   and fill_nnz = ref 0
   and eta_total = ref 0
   and fhits = ref 0
   and bhits = ref 0
+  and cert_failures = ref 0
   and cur_lu_nnz = ref 0
   and cur_eta_nnz = ref 0 in
   let total_pivots () = !primal_pivots + !dual_pivots in
@@ -267,87 +285,18 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
       refactorizations = !refacts;
       bland_pivots = !blands;
       flops = !flops;
-      lu_refactorizations = !lu_refacts;
       lu_fill_in_nnz = !fill_nnz;
       lu_eta_nnz = !eta_total;
       ftran_sparse_hits = !fhits;
       btran_sparse_hits = !bhits;
+      certificate_failures = !cert_failures;
     }
   in
   let limit phase = Stop (Iter_limit { phase; iterations = total_pivots () }, None) in
-  (* ---- linear-algebra primitives ------------------------------------ *)
-  (* Flop charging is "honest" on both backends: 2 per entry actually
-     multiplied-and-accumulated (no dense m^2/m^3 formulas), so the
-     counter is comparable across backends and measures real work. *)
-  let dense_refactor () =
-    incr refacts;
-    since_refactor := 0;
-    Array.fill fact 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
-        done
-      else if k < nt then fact.(((k - n) * m) + i) <- 1.0
-      else fact.(((k - nt) * m) + i) <- ws.art_sign.(k - nt)
-    done;
-    Array.fill binv 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      binv.((i * m) + i) <- 1.0
-    done;
-    let ok = ref true in
-    (try
-       for col = 0 to m - 1 do
-         let best = ref col
-         and bestv = ref (Float.abs fact.((col * m) + col)) in
-         for r = col + 1 to m - 1 do
-           let v = Float.abs fact.((r * m) + col) in
-           if v > !bestv then begin
-             best := r;
-             bestv := v
-           end
-         done;
-         if !bestv < 1e-11 then begin
-           ok := false;
-           raise Exit
-         end;
-         if !best <> col then begin
-           let oa = col * m and ob = !best * m in
-           for q = 0 to m - 1 do
-             let t = fact.(oa + q) in
-             fact.(oa + q) <- fact.(ob + q);
-             fact.(ob + q) <- t;
-             let t = binv.(oa + q) in
-             binv.(oa + q) <- binv.(ob + q);
-             binv.(ob + q) <- t
-           done
-         end;
-         let off = col * m in
-         let ipiv = 1.0 /. fact.(off + col) in
-         flops := !flops + (4 * m);
-         for q = 0 to m - 1 do
-           fact.(off + q) <- fact.(off + q) *. ipiv;
-           binv.(off + q) <- binv.(off + q) *. ipiv
-         done;
-         for r = 0 to m - 1 do
-           if r <> col then begin
-             let f = fact.((r * m) + col) in
-             if f <> 0.0 then begin
-               let offr = r * m in
-               flops := !flops + (4 * m);
-               for q = 0 to m - 1 do
-                 fact.(offr + q) <- fact.(offr + q) -. (f *. fact.(off + q));
-                 binv.(offr + q) <- binv.(offr + q) -. (f *. binv.(off + q))
-               done
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    !ok
-  in
-  (* ---- LU backend: factorization + product-form eta file ------------- *)
+  (* ---- factorization + product-form eta file ------------------------- *)
+  (* Flop charging is "honest": 2 per entry actually multiplied-and-
+     accumulated (no dense m^2/m^3 formulas), so the counter measures
+     real work. *)
   let eta_reset () =
     ws.eta_n <- 0;
     if Array.length ws.eta_ptr = 0 then ws.eta_ptr <- Array.make 8 0;
@@ -417,78 +366,41 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
   in
   (* v := B^-1 v (factorization then etas); v := B^-T v (etas then
      transposed factorization). *)
-  let lu_apply_ftran v =
-    (match ws.lu with
-    | Some lu ->
-      let fl, sk = Lu.ftran lu ~x:v ~tmp:ws.lutmp in
-      flops := !flops + fl;
-      fhits := !fhits + sk
-    | None -> assert false);
+  let apply_ftran v =
+    let fl, sk = Lu.ftran ws.lu ~x:v ~tmp:ws.lutmp in
+    flops := !flops + fl;
+    fhits := !fhits + sk;
     eta_ftran v
   in
-  let lu_apply_btran v =
+  let apply_btran v =
     eta_btran v;
-    match ws.lu with
-    | Some lu ->
-      let fl, sk = Lu.btran lu ~x:v ~tmp:ws.lutmp in
-      flops := !flops + fl;
-      bhits := !bhits + sk
-    | None -> assert false
+    let fl, sk = Lu.btran ws.lu ~x:v ~tmp:ws.lutmp in
+    flops := !flops + fl;
+    bhits := !bhits + sk
   in
-  let lu_refactor () =
-    (* Assemble the basis columns (basis position i = column i of B) in
-       CSC form, reusing the workspace assembly buffers. *)
-    let len = ref 0 in
-    ws.bptr <- grow_int ws.bptr 0 (m + 1);
-    ws.bptr.(0) <- 0;
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      let need = if k < n then c.C.col_ptr.(k + 1) - c.C.col_ptr.(k) else 1 in
-      ws.brow <- grow_int ws.brow !len (!len + need);
-      ws.bval <- grow_flt ws.bval !len (!len + need);
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          ws.brow.(!len) <- c.C.col_row.(p);
-          ws.bval.(!len) <- c.C.col_val.(p);
-          incr len
-        done
-      else if k < nt then begin
-        ws.brow.(!len) <- k - n;
-        ws.bval.(!len) <- 1.0;
-        incr len
-      end
-      else begin
-        ws.brow.(!len) <- k - nt;
-        ws.bval.(!len) <- ws.art_sign.(k - nt);
-        incr len
-      end;
-      ws.bptr.(i + 1) <- !len
-    done;
-    match Lu.factor ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval () with
-    | None -> false
-    | Some lu ->
-      ws.lu <- Some lu;
+  let refactor () =
+    let len = assemble_basis ws c m in
+    Lu.refactor ws.lu ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval ()
+    && begin
+      let lu = ws.lu in
       incr refacts;
-      incr lu_refacts;
       since_refactor := 0;
       eta_reset ();
       cur_lu_nnz := Lu.nnz lu;
-      fill_nnz := !fill_nnz + max 0 (Lu.nnz lu - !len);
+      fill_nnz := !fill_nnz + max 0 (Lu.nnz lu - len);
       flops := !flops + Lu.flops lu;
       true
+    end
   in
-  let refactor () = if use_lu then lu_refactor () else dense_refactor () in
   let need_refactor () =
     match policy with
     | Pivots k -> !since_refactor >= k
     | Eta_fill { max_pivots; growth } ->
       !since_refactor >= max_pivots
-      || (use_lu
-         && !since_refactor > 0
+      || !since_refactor > 0
          && float_of_int !cur_eta_nnz > growth *. float_of_int (!cur_lu_nnz + m)
-         )
   in
-  (* ---- backend-dispatched kernel operations --------------------------- *)
+  (* ---- kernel operations ---------------------------------------------- *)
   let load_residual () =
     (* ws.rw := rhs - N x_N, charged at the entries actually touched *)
     Array.blit c.C.rhs 0 ws.rw 0 m;
@@ -511,46 +423,16 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
     done;
     flops := !flops + !t
   in
-  let dense_compute_xb () =
-    load_residual ();
-    flops := !flops + (2 * m * m);
-    for i = 0 to m - 1 do
-      let off = i * m in
-      let s = ref 0.0 in
-      for k = 0 to m - 1 do
-        s := !s +. (binv.(off + k) *. ws.rw.(k))
-      done;
-      ws.xb.(i) <- !s
-    done
-  in
   let compute_xb () =
-    if use_lu then begin
-      load_residual ();
-      lu_apply_ftran ws.rw;
-      Array.blit ws.rw 0 ws.xb 0 m
-    end
-    else dense_compute_xb ()
+    load_residual ();
+    apply_ftran ws.rw;
+    Array.blit ws.rw 0 ws.xb 0 m
   in
   let btran () =
-    if use_lu then begin
-      for i = 0 to m - 1 do
-        ws.y.(i) <- ws.cost.(ws.basis.(i))
-      done;
-      lu_apply_btran ws.y
-    end
-    else begin
-      Array.fill ws.y 0 m 0.0;
-      for i = 0 to m - 1 do
-        let cb = ws.cost.(ws.basis.(i)) in
-        if cb <> 0.0 then begin
-          let off = i * m in
-          flops := !flops + (2 * m);
-          for k = 0 to m - 1 do
-            ws.y.(k) <- ws.y.(k) +. (cb *. binv.(off + k))
-          done
-        end
-      done
-    end
+    for i = 0 to m - 1 do
+      ws.y.(i) <- ws.cost.(ws.basis.(i))
+    done;
+    apply_btran ws.y
   in
   let reduced_cost j =
     if j < n then begin
@@ -568,84 +450,42 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
   in
   let ftran e =
     Array.fill ws.w 0 m 0.0;
-    if use_lu then begin
-      if e < n then
-        for p = c.C.col_ptr.(e) to c.C.col_ptr.(e + 1) - 1 do
-          ws.w.(c.C.col_row.(p)) <- c.C.col_val.(p)
-        done
-      else ws.w.(e - n) <- 1.0;
-      lu_apply_ftran ws.w
-    end
-    else if e < n then begin
-      flops := !flops + (2 * m * (c.C.col_ptr.(e + 1) - c.C.col_ptr.(e)));
+    if e < n then
       for p = c.C.col_ptr.(e) to c.C.col_ptr.(e + 1) - 1 do
-        let r = c.C.col_row.(p) and v = c.C.col_val.(p) in
-        for i = 0 to m - 1 do
-          ws.w.(i) <- ws.w.(i) +. (binv.((i * m) + r) *. v)
-        done
+        ws.w.(c.C.col_row.(p)) <- c.C.col_val.(p)
       done
-    end
-    else begin
-      flops := !flops + (2 * m);
-      let r = e - n in
-      for i = 0 to m - 1 do
-        ws.w.(i) <- ws.w.(i) +. binv.((i * m) + r)
-      done
-    end
+    else ws.w.(e - n) <- 1.0;
+    apply_ftran ws.w
   in
-  (* Pivot row r of B^-1 N into ws.alpha (nonbasic columns only).  The
-     dense backend reads row r of the explicit inverse; the LU backend
-     computes rho = B^-T e_r (one hypersparse BTRAN) and prices the
-     nonbasic columns against it. *)
+  (* Pivot row r of B^-1 N into ws.alpha (nonbasic columns only):
+     rho = B^-T e_r (one hypersparse BTRAN), then price the nonbasic
+     columns against it. *)
   let pivot_row r =
     let t = ref 0 in
-    if use_lu then begin
-      Array.fill ws.rho 0 m 0.0;
-      ws.rho.(r) <- 1.0;
-      lu_apply_btran ws.rho;
-      for j = 0 to nt - 1 do
-        if ws.vstat.(j) <> st_basic then
-          ws.alpha.(j) <-
-            (if j < n then begin
-               let s = ref 0.0 in
-               t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
-               for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-                 s := !s +. (ws.rho.(c.C.col_row.(p)) *. c.C.col_val.(p))
-               done;
-               !s
-             end
-             else begin
-               incr t;
-               ws.rho.(j - n)
-             end)
-        else ws.alpha.(j) <- 0.0
-      done
-    end
-    else begin
-      let off = r * m in
-      for j = 0 to nt - 1 do
-        if ws.vstat.(j) <> st_basic then
-          ws.alpha.(j) <-
-            (if j < n then begin
-               let s = ref 0.0 in
-               t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
-               for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-                 s := !s +. (binv.(off + c.C.col_row.(p)) *. c.C.col_val.(p))
-               done;
-               !s
-             end
-             else begin
-               incr t;
-               binv.(off + (j - n))
-             end)
-        else ws.alpha.(j) <- 0.0
-      done
-    end;
+    Array.fill ws.rho 0 m 0.0;
+    ws.rho.(r) <- 1.0;
+    apply_btran ws.rho;
+    for j = 0 to nt - 1 do
+      if ws.vstat.(j) <> st_basic then
+        ws.alpha.(j) <-
+          (if j < n then begin
+             let s = ref 0.0 in
+             t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
+             for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
+               s := !s +. (ws.rho.(c.C.col_row.(p)) *. c.C.col_val.(p))
+             done;
+             !s
+           end
+           else begin
+             incr t;
+             ws.rho.(j - n)
+           end)
+      else ws.alpha.(j) <- 0.0
+    done;
     flops := !flops + !t
   in
-  (* Replace row r's basic column with e (ws.w must hold B^-1 A_e).
-     Dense: elementary row operations on the explicit inverse.
-     LU: append one eta; the factorization is untouched. *)
+  (* Replace row r's basic column with e (ws.w must hold B^-1 A_e):
+     append one eta; the factorization is untouched. *)
   let apply_pivot r e ~ve ~leave_st ~leave_val =
     let k = ws.basis.(r) in
     ws.vstat.(k) <- leave_st;
@@ -653,27 +493,7 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
     ws.basis.(r) <- e;
     ws.vstat.(e) <- st_basic;
     ws.xb.(r) <- ve;
-    if use_lu then eta_append r
-    else begin
-      let offr = r * m in
-      let ipiv = 1.0 /. ws.w.(r) in
-      flops := !flops + (2 * m);
-      for q = 0 to m - 1 do
-        binv.(offr + q) <- binv.(offr + q) *. ipiv
-      done;
-      for i = 0 to m - 1 do
-        if i <> r then begin
-          let f = ws.w.(i) in
-          if f <> 0.0 then begin
-            let offi = i * m in
-            flops := !flops + (2 * m);
-            for q = 0 to m - 1 do
-              binv.(offi + q) <- binv.(offi + q) -. (f *. binv.(offr + q))
-            done
-          end
-        end
-      done
-    end;
+    eta_append r;
     incr since_refactor
   in
   let devex_update r e =
@@ -773,7 +593,7 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
         let best_t = ref span and leave_r = ref (-1) and leave_up = ref false in
         for i = 0 to m - 1 do
           let a = dir *. ws.w.(i) in
-          if a > piv_tol then begin
+          if a > !piv_tol then begin
             let l = lbx ws.basis.(i) in
             if l > neg_infinity then begin
               let t = Float.max 0.0 ((ws.xb.(i) -. l) /. a) in
@@ -791,7 +611,7 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
               end
             end
           end
-          else if a < -.piv_tol then begin
+          else if a < -. !piv_tol then begin
             let u = ubx ws.basis.(i) in
             if u < infinity then begin
               let t = Float.max 0.0 ((u -. ws.xb.(i)) /. -.a) in
@@ -892,14 +712,103 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
       end
     done
   in
+  (* Optimality certificate of the current basis, checked on a fresh
+     factor (eta file empty, ws.xb just recomputed): one BTRAN for the
+     duals and one pass over the columns.  It depends only on the model
+     and the basis, never on the pivot path that reached it.  Primal
+     residuals get the phase-1 infeasibility allowance (10 eps of the
+     largest rhs) plus roundoff relative to the magnitudes involved;
+     reduced costs get ten times the pricing threshold plus roundoff
+     relative to the largest cost.  Returns whether every check holds:
+       - primal feasibility: A x + s = rhs per row, every column inside
+         its bounds, kept artificials at zero;
+       - dual sign: each nonbasic column's reduced cost has the sign its
+         bound status requires (any sign when the column is fixed), and
+         basic columns price to zero;
+       - complementary slackness: a column with a clearly positive
+         (negative) reduced cost sits at its lower (upper) bound;
+       - strong duality: c.x equals y.rhs + d_N.x_N. *)
+  let certificate () =
+    btran ();
+    let xcol = ws.alpha (* column values; the pivot-row scratch is free *) in
+    let ok = ref true in
+    let ptol = 10.0 *. eps *. rhs_scale in
+    for j = 0 to nt - 1 do
+      if ws.vstat.(j) <> st_basic then xcol.(j) <- ws.xval.(j)
+    done;
+    for i = 0 to m - 1 do
+      let k = ws.basis.(i) in
+      if k < nt then xcol.(k) <- ws.xb.(i)
+      else if Float.abs ws.xb.(i) > ptol then ok := false
+    done;
+    (* rows: ws.rw collects the residual, ws.w the absolute activity *)
+    Array.blit c.C.rhs 0 ws.rw 0 m;
+    for i = 0 to m - 1 do
+      let x = xcol.(n + i) in
+      ws.rw.(i) <- ws.rw.(i) -. x;
+      ws.w.(i) <- Float.abs c.C.rhs.(i) +. Float.abs x
+    done;
+    for j = 0 to n - 1 do
+      let x = xcol.(j) in
+      if x <> 0.0 then begin
+        flops := !flops + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
+        for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
+          let r = c.C.col_row.(p) and t = c.C.col_val.(p) *. x in
+          ws.rw.(r) <- ws.rw.(r) -. t;
+          ws.w.(r) <- ws.w.(r) +. Float.abs t
+        done
+      end
+    done;
+    for i = 0 to m - 1 do
+      if Float.abs ws.rw.(i) > ptol +. (1e-9 *. ws.w.(i)) then ok := false
+    done;
+    let cmax = ref 0.0 in
+    for j = 0 to nt - 1 do
+      cmax := Float.max !cmax (Float.abs ws.cost.(j))
+    done;
+    let dtol = (10.0 *. eps) +. (1e-9 *. !cmax) in
+    let primal = ref 0.0 and dual = ref 0.0 and mag = ref 0.0 in
+    for i = 0 to m - 1 do
+      let t = ws.y.(i) *. c.C.rhs.(i) in
+      dual := !dual +. t;
+      mag := !mag +. Float.abs t
+    done;
+    for j = 0 to nt - 1 do
+      let x = xcol.(j) and l = c.C.lb.(j) and u = c.C.ub.(j) in
+      let btol = ptol +. (1e-9 *. Float.abs x) in
+      if x < l -. btol || x > u +. btol then ok := false;
+      let d = reduced_cost j in
+      let st = ws.vstat.(j) in
+      if st = st_basic then begin
+        if Float.abs d > dtol then ok := false
+      end
+      else begin
+        if l < u then begin
+          if st = st_lo && d < -.dtol then ok := false;
+          if st = st_up && d > dtol then ok := false;
+          if st = st_fr && Float.abs d > dtol then ok := false
+        end;
+        let t = d *. x in
+        dual := !dual +. t;
+        mag := !mag +. Float.abs t
+      end;
+      if d > dtol && x > l +. btol then ok := false;
+      if d < -.dtol && x < u -. btol then ok := false;
+      primal := !primal +. (ws.cost.(j) *. x)
+    done;
+    if Float.abs (!primal -. !dual) > (10.0 *. eps) +. (1e-9 *. !mag) then
+      ok := false;
+    !ok
+  in
   let finish () =
-    (* Both backends finish on the shared dense factorization: when the
-       pivot sequences agree, the reported values and objective are
-       bit-identical across backends, not merely within tolerance. *)
+    (* Report from a fresh factorization: the basic values come from one
+       clean FTRAN, not from the incrementally updated ones, and the
+       certificate is checked against the same factor. *)
     if m > 0 then begin
-      if not (dense_refactor ()) then raise (Stuck 2);
-      dense_compute_xb ()
+      if not (refactor ()) then raise (Stuck 2);
+      compute_xb ()
     end;
+    if not (certificate ()) then incr cert_failures;
     let values = Array.make n 0.0 in
     for j = 0 to n - 1 do
       if ws.vstat.(j) <> st_basic then values.(j) <- ws.xval.(j)
@@ -992,15 +901,9 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
         need_art := true
       end
     done;
-    Array.fill binv 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      binv.((i * m) + i) <-
-        (if ws.basis.(i) >= nt then ws.art_sign.(i) else 1.0)
-    done;
-    since_refactor := 0;
-    (* The LU backend factors the initial (diagonal) basis explicitly;
-       a diagonal of +-1 entries cannot be singular. *)
-    if use_lu && not (lu_refactor ()) then raise (Stuck 1);
+    (* The initial basis is a diagonal of +-1 entries: it cannot be
+       singular. *)
+    if not (refactor ()) then raise (Stuck 1);
     if !need_art then begin
       Array.fill ws.cost 0 ncols 0.0;
       for i = 0 to m - 1 do
@@ -1130,11 +1033,11 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
             let a = ws.alpha.(j) in
             let good =
               if !need_up then
-                (a < -.piv_tol && (st = st_lo || st = st_fr))
-                || (a > piv_tol && (st = st_up || st = st_fr))
+                (a < -. !piv_tol && (st = st_lo || st = st_fr))
+                || (a > !piv_tol && (st = st_up || st = st_fr))
               else
-                (a > piv_tol && (st = st_lo || st = st_fr))
-                || (a < -.piv_tol && (st = st_up || st = st_fr))
+                (a > !piv_tol && (st = st_lo || st = st_fr))
+                || (a < -. !piv_tol && (st = st_up || st = st_fr))
             in
             if good then begin
               let ratio = Float.abs ws.dj.(j) /. Float.abs a in
@@ -1175,6 +1078,9 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
        verifies optimality and covers residual dual infeasibility *)
     phase2_and_finish ()
   in
+  let stuck phase =
+    (Iter_limit { phase; iterations = total_pivots () }, None)
+  in
   let st, b =
     try
       match hint with
@@ -1182,7 +1088,16 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
       | None -> cold ()
     with
     | Stop (st, b) -> (st, b)
-    | Stuck phase -> (Iter_limit { phase; iterations = total_pivots () }, None)
+    | Stuck _ -> (
+      (* On ill-conditioned models (several rounds of cuts) the default
+         ratio test can accept pivots near 1e-9 and reach a basis that no
+         longer factors.  One cold retry that refuses pivots below 1e-7
+         takes a different path; on the DVS models seen so far it reaches
+         the optimum where the first attempt got stuck. *)
+      piv_tol := 1e-7;
+      try cold () with
+      | Stop (st, b) -> (st, b)
+      | Stuck phase -> stuck phase)
   in
   (st, b, stats ())
 
@@ -1212,15 +1127,18 @@ let extend_basis (b : basis) ~rows =
 (* ---- tableau extraction (cut separation) ------------------------------ *)
 
 (* A factorized snapshot of a basis against a compiled model's current
-   bounds and rhs.  Not a solving path: built once per separation round
-   (root of the search), so a fresh dense inverse is fine. *)
+   bounds and rhs.  Not a solving path: built once per separation round,
+   on a fresh sparse LU of the basis; each tableau row is one BTRAN of a
+   unit vector priced against the columns. *)
 type tableau = {
   t_c : C.t;
-  t_binv : float array;  (* m*m row-major B^-1 *)
+  t_lu : Lu.t;
   t_rows : int array;  (* basic column per row *)
   t_stat : int array;  (* per-column status, nt entries *)
   t_xval : float array;  (* nonbasic column values, nt entries *)
   t_xb : float array;  (* basic values per row *)
+  t_rho : float array;  (* BTRAN scratch, m entries *)
+  t_tmp : float array;  (* LU solve scratch, m entries *)
 }
 
 type col_status = Col_basic | Col_lower | Col_upper | Col_free
@@ -1254,97 +1172,37 @@ let tableau c (b : basis) =
         xval.(j) <- (if st = st_lo then l else if st = st_up then u else 0.0)
       end
     done;
-    (* Dense B and Gauss-Jordan inverse with partial pivoting. *)
-    let fact = Array.make (m * m) 0.0 in
-    let binv = Array.make (m * m) 0.0 in
-    for i = 0 to m - 1 do
-      let k = b.b_rows.(i) in
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
-        done
-      else fact.(((k - n) * m) + i) <- 1.0;
-      binv.((i * m) + i) <- 1.0
-    done;
-    let singular = ref false in
-    (try
-       for col = 0 to m - 1 do
-         let best = ref col
-         and bestv = ref (Float.abs fact.((col * m) + col)) in
-         for r = col + 1 to m - 1 do
-           let v = Float.abs fact.((r * m) + col) in
-           if v > !bestv then begin
-             best := r;
-             bestv := v
-           end
-         done;
-         if !bestv < 1e-11 then begin
-           singular := true;
-           raise Exit
-         end;
-         if !best <> col then begin
-           let oa = col * m and ob = !best * m in
-           for q = 0 to m - 1 do
-             let t = fact.(oa + q) in
-             fact.(oa + q) <- fact.(ob + q);
-             fact.(ob + q) <- t;
-             let t = binv.(oa + q) in
-             binv.(oa + q) <- binv.(ob + q);
-             binv.(ob + q) <- t
-           done
-         end;
-         let off = col * m in
-         let ipiv = 1.0 /. fact.(off + col) in
-         for q = 0 to m - 1 do
-           fact.(off + q) <- fact.(off + q) *. ipiv;
-           binv.(off + q) <- binv.(off + q) *. ipiv
-         done;
-         for r = 0 to m - 1 do
-           if r <> col then begin
-             let f = fact.((r * m) + col) in
-             if f <> 0.0 then begin
-               let offr = r * m in
-               for q = 0 to m - 1 do
-                 fact.(offr + q) <- fact.(offr + q) -. (f *. fact.(off + q));
-                 binv.(offr + q) <- binv.(offr + q) -. (f *. binv.(off + q))
-               done
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    if !singular then None
+    let ws = ensure (workspace ()) m 0 in
+    Array.blit b.b_rows 0 ws.basis 0 m;
+    ignore (assemble_basis ws c m);
+    if not (Lu.refactor ws.lu ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval ())
+    then None
     else begin
+      let lu = ws.lu in
       (* xb = B^-1 (rhs - N x_N) *)
-      let rw = Array.copy c.C.rhs in
+      let xb = Array.copy c.C.rhs in
       for j = 0 to nt - 1 do
         if stat.(j) <> st_basic && xval.(j) <> 0.0 then begin
           let x = xval.(j) in
           if j < n then
             for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
               let r = c.C.col_row.(p) in
-              rw.(r) <- rw.(r) -. (c.C.col_val.(p) *. x)
+              xb.(r) <- xb.(r) -. (c.C.col_val.(p) *. x)
             done
-          else rw.(j - n) <- rw.(j - n) -. x
+          else xb.(j - n) <- xb.(j - n) -. x
         end
       done;
-      let xb = Array.make m 0.0 in
-      for i = 0 to m - 1 do
-        let off = i * m in
-        let s = ref 0.0 in
-        for k = 0 to m - 1 do
-          s := !s +. (binv.(off + k) *. rw.(k))
-        done;
-        xb.(i) <- !s
-      done;
+      ignore (Lu.ftran lu ~x:xb ~tmp:ws.lutmp);
       Some
         {
           t_c = c;
-          t_binv = binv;
+          t_lu = lu;
           t_rows = Array.copy b.b_rows;
           t_stat = stat;
           t_xval = xval;
           t_xb = xb;
+          t_rho = ws.rho;
+          t_tmp = ws.lutmp;
         }
     end
   end
@@ -1365,35 +1223,38 @@ let tableau_col_status t j =
 let tableau_nonbasic_value t j = t.t_xval.(j)
 
 (* Row [r] of B^-1 [A | I] over every column: entries for nonbasic
-   columns, 0.0 for basic ones.  [alpha] must have length >= nt. *)
+   columns, 0.0 for basic ones.  [alpha] must have length >= nt.
+   rho = B^-T e_r, then alpha_j = rho . A_j. *)
 let tableau_row t r alpha =
   let c = t.t_c in
   let n = c.C.n and m = c.C.m and nt = c.C.nt in
-  let off = r * m in
+  let rho = t.t_rho in
+  Array.fill rho 0 m 0.0;
+  rho.(r) <- 1.0;
+  ignore (Lu.btran t.t_lu ~x:rho ~tmp:t.t_tmp);
   for j = 0 to nt - 1 do
     if t.t_stat.(j) <> st_basic then
       alpha.(j) <-
         (if j < n then begin
            let s = ref 0.0 in
            for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-             s := !s +. (t.t_binv.(off + c.C.col_row.(p)) *. c.C.col_val.(p))
+             s := !s +. (rho.(c.C.col_row.(p)) *. c.C.col_val.(p))
            done;
            !s
          end
-         else t.t_binv.(off + (j - n)))
+         else rho.(j - n))
     else alpha.(j) <- 0.0
   done
 
 (* ---- Model.t entry points -------------------------------------------- *)
 
-let solve_ext ?max_iter ?eps ?backend ?refactor ?basis m =
-  solve_compiled ?max_iter ?eps ?backend ?refactor ?basis
-    (Compiled.of_model m)
+let solve_ext ?max_iter ?eps ?refactor ?basis m =
+  solve_compiled ?max_iter ?eps ?refactor ?basis (Compiled.of_model m)
 
-let solve ?max_iter ?eps ?backend m =
-  let st, _, _ = solve_ext ?max_iter ?eps ?backend m in
+let solve ?max_iter ?eps m =
+  let st, _, _ = solve_ext ?max_iter ?eps m in
   st
 
-let solve_from_basis ?max_iter ?eps ?backend basis m =
-  let st, _, _ = solve_ext ?max_iter ?eps ?backend ~basis m in
+let solve_from_basis ?max_iter ?eps basis m =
+  let st, _, _ = solve_ext ?max_iter ?eps ~basis m in
   st

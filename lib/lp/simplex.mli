@@ -9,16 +9,16 @@
     caller-reusable {!workspace} so the pivot loop allocates nothing
     beyond eta-file growth.
 
-    Two interchangeable basis backends ({!basis_kind}) carry the solve:
-    the default {!Lu} keeps a sparse LU factorization of the basis
-    (Markowitz pivot ordering with threshold partial pivoting, see
-    {!Lu.factor}) plus a product-form eta file — one eta per pivot —
-    with FTRAN/BTRAN as hypersparse scatter-form triangular solves;
-    {!Dense} keeps the historical explicit dense inverse and survives
-    as the correctness oracle and ablation leg.  Both backends share
-    every pricing/ratio/phase decision and finish on the same dense
-    factorization, so identical pivot sequences yield bit-identical
-    solutions.
+    The basis is carried by a sparse LU factorization (Markowitz pivot
+    ordering with threshold partial pivoting, see {!Lu.refactor}) plus a
+    product-form eta file — one eta per pivot — with FTRAN/BTRAN as
+    hypersparse scatter-form triangular solves.  Every optimal solve
+    finishes on a fresh factorization and checks an optimality
+    certificate on it (see {!stats.certificate_failures}): primal
+    feasibility, the reduced-cost sign of every bound status,
+    complementary slackness, and the primal objective against the dual
+    one.  The certificate depends only on the model and the returned
+    basis, not on the linear algebra that reached it.
 
     Pricing is selectable ({!pricing}): devex-style steepest edge by
     default, Dantzig, or Bland; the first two fall back to Bland's rule
@@ -30,7 +30,10 @@
 
     Termination trouble is a value, not an exception: hitting the pivot
     budget returns {!Iter_limit} instead of raising [Failure], so callers
-    (notably {!Dvs_milp.Solver}) can surface it as a typed outcome.
+    (notably {!Dvs_milp.Solver}) can surface it as a typed outcome.  A
+    solve whose basis stops factoring (singular to working precision)
+    restarts cold once with a stricter pivot tolerance (1e-7 instead of
+    1e-9) and reports {!Iter_limit} only if that gets stuck as well.
 
     Re-solves of nearby models (branch-and-bound children differing from
     the parent by variable bounds only) warm start from the parent's
@@ -76,56 +79,50 @@ type pricing =
   | Dantzig  (** most-negative reduced cost *)
   | Steepest_edge  (** devex reference-weight approximation (default) *)
 
-type basis_kind =
-  | Lu
-      (** sparse LU factorization + product-form eta file (default) *)
-  | Dense  (** explicit dense inverse; correctness oracle / ablation *)
-
 type refactor_policy =
-  | Pivots of int
-      (** refactorize after this many pivots (the historical behavior;
-          the dense default is [Pivots 128]) *)
+  | Pivots of int  (** refactorize after this many pivots *)
   | Eta_fill of { max_pivots : int; growth : float }
       (** refactorize when the eta file holds more than
           [growth * (factor nnz + m)] entries, or after [max_pivots]
-          pivots, whichever comes first.  The LU default is
-          [Eta_fill { max_pivots = 256; growth = 2.0 }]; on the dense
-          backend (which has no eta file) only [max_pivots] applies. *)
+          pivots, whichever comes first *)
 
-val default_refactor : basis_kind -> refactor_policy
-(** The refactorization policy each backend uses when none is given. *)
+val default_refactor : refactor_policy
+(** The policy used when none is given:
+    [Eta_fill { max_pivots = 256; growth = 2.0 }]. *)
 
 type stats = {
   pivots : int;  (** total basis changes (primal + dual) *)
   phase1_pivots : int;  (** pivots spent reaching feasibility *)
   dual_pivots : int;  (** pivots spent in dual reoptimization *)
   bound_flips : int;  (** ratio tests resolved without a basis change *)
-  refactorizations : int;  (** basis rebuilds, either backend *)
+  refactorizations : int;  (** sparse LU factorizations built *)
   bland_pivots : int;  (** pivots taken under the Bland fallback *)
   flops : int;
-      (** floating-point work actually performed (2 per entry touched
-          on either backend — no dense m^2/m^3 formulas), comparable
-          across backends *)
-  lu_refactorizations : int;  (** sparse LU factorizations built *)
+      (** floating-point work actually performed: 2 per entry touched,
+          no dense m^2/m^3 formulas *)
   lu_fill_in_nnz : int;
       (** total factor entries beyond the basis nnz, summed over LU
           refactorizations *)
   lu_eta_nnz : int;  (** total eta-file entries appended *)
   ftran_sparse_hits : int;
       (** FTRAN solve steps skipped because the running component was
-          exactly zero (hypersparsity wins; LU backend only) *)
+          exactly zero (hypersparsity wins) *)
   btran_sparse_hits : int;  (** same, for BTRAN *)
+  certificate_failures : int;
+      (** 1 when the solve reported [Optimal] but its basis failed the
+          optimality certificate checked on the final factorization,
+          else 0.  A nonzero count is a kernel bug, not a property of
+          the model. *)
 }
 
 type workspace
-(** Reusable scratch buffers (basis inverse, pricing vectors, column
-    states).  One per worker thread; grown on demand, never shrunk.
+(** Reusable scratch buffers (basis factorization, eta file, pricing
+    vectors, column states).  One per worker thread; grown on demand, never shrunk.
     Not thread-safe — do not share a workspace across domains. *)
 
 val workspace : unit -> workspace
 
-val solve :
-  ?max_iter:int -> ?eps:float -> ?backend:basis_kind -> Model.t -> status
+val solve : ?max_iter:int -> ?eps:float -> Model.t -> status
 (** [eps] is the master tolerance (default [1e-7]): reduced-cost threshold
     and (scaled) feasibility threshold.  [max_iter] bounds pivots per phase
     (default 100000); Bland's rule engages after 200 stalled iterations,
@@ -135,7 +132,6 @@ val solve :
 val solve_ext :
   ?max_iter:int ->
   ?eps:float ->
-  ?backend:basis_kind ->
   ?refactor:refactor_policy ->
   ?basis:basis ->
   Model.t ->
@@ -152,7 +148,6 @@ val solve_compiled :
   ?pricing:pricing ->
   ?max_iter:int ->
   ?eps:float ->
-  ?backend:basis_kind ->
   ?refactor:refactor_policy ->
   ?basis:basis ->
   ?ws:workspace ->
@@ -163,15 +158,13 @@ val solve_compiled :
     [Compiled.set_bounds] state distinguishes calls.  With [basis], the
     solve is a dual-simplex reoptimization from that basis.  With [ws],
     all scratch state is reused across calls (the intended mode for
-    branch and bound: one workspace per worker).  [backend] selects the
-    basis representation (default {!Lu}) and [refactor] overrides that
-    backend's {!default_refactor} policy; neither affects which vertex
-    is found, only how the linear algebra behind it is carried. *)
+    branch and bound: one workspace per worker).  [refactor] overrides
+    {!default_refactor}; it changes how the linear algebra is carried
+    (and its roundoff), not which problem is solved. *)
 
 val solve_from_basis :
   ?max_iter:int ->
   ?eps:float ->
-  ?backend:basis_kind ->
   basis ->
   Model.t ->
   status
@@ -190,8 +183,9 @@ val extend_basis : basis -> rows:int -> basis
 
     Read-only access to the simplex tableau of a given basis against a
     compiled model's current bounds and rhs — what Gomory cut separation
-    needs.  Built once per separation round via a fresh dense
-    factorization; not a solving path. *)
+    needs.  Built once per separation round on a fresh sparse LU of the
+    basis; each {!tableau_row} is one BTRAN.  Not a solving path, and
+    not safe to share across domains (rows reuse internal scratch). *)
 
 type tableau
 

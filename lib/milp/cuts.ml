@@ -194,7 +194,7 @@ let gomory ~compiled:c ~tableau:tab ~x ~deadline ~row_valid_le
                 in
                 let viol = violation cut x in
                 if viol > 1e-6 *. (1.0 +. Float.abs rhs_cut) then
-                  candidates := (viol, cut) :: !candidates
+                  candidates := (viol, r, cut) :: !candidates
               end
             end
           end
@@ -202,10 +202,14 @@ let gomory ~compiled:c ~tableau:tab ~x ~deadline ~row_valid_le
       end
     end
   done;
+  (* Most violated first; violations within Ties.rel_tol tie and go to
+     the lower tableau row. *)
   !candidates
-  |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
+  |> List.sort (fun (va, ra, _) (vb, rb, _) ->
+         let c = Ties.compare vb va in
+         if c <> 0 then c else Int.compare ra rb)
   |> List.filteri (fun i _ -> i < max_cuts)
-  |> List.map snd
+  |> List.map (fun (_, _, cut) -> cut)
 
 (* ---- knapsack cover cuts ---------------------------------------------- *)
 
@@ -223,7 +227,7 @@ let covers ~row ~deadline ~x =
     row
     |> List.filter (fun (wt, _) -> wt > 0.0)
     |> List.sort (fun (wa, va) (wb, vb) ->
-           let c = Float.compare x.(vb) x.(va) in
+           let c = Ties.compare x.(vb) x.(va) in
            if c <> 0 then c
            else
              let c = Float.compare wb wa in
@@ -249,7 +253,9 @@ let covers ~row ~deadline ~x =
           else (keep, sum))
         (cover, sum)
         (List.sort
-           (fun (_, va) (_, vb) -> Float.compare x.(va) x.(vb))
+           (fun (_, va) (_, vb) ->
+             let c = Ties.compare x.(va) x.(vb) in
+             if c <> 0 then c else compare va vb)
            cover)
     in
     let vars = List.map snd cover |> List.sort_uniq compare in
@@ -323,7 +329,7 @@ let gub_covers ~groups ~deadline ~x =
       let picks =
         List.sort
           (fun (_, ma, sa) (_, mb, sb) ->
-            let c = Float.compare mb ma in
+            let c = Ties.compare mb ma in
             if c <> 0 then c else compare sa sb)
           picks
       in

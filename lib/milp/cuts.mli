@@ -66,7 +66,8 @@ val gomory :
   t list
 (** Gomory mixed-integer cuts from every tableau row whose basic
     variable is integer with a usefully fractional value, strongest
-    violation first, at most [max_cuts].
+    violation first (violations within {!Ties.rel_tol} tie and go to the
+    lower tableau row), at most [max_cuts].
 
     [x] is the LP solution the tableau was built from (structural
     values).  [row_valid_le.(i)] caps the validity of any cut whose

@@ -11,10 +11,10 @@
      from scratch;
    - shallow relaxations go through a fingerprint-keyed Lp_cache that can
      be shared across solves, which is what the bench sweep drivers do;
-   - the incumbent is merged deterministically: strictly better objective
-     wins, an exactly equal objective is tie-broken toward the
+   - the incumbent is merged deterministically: a better objective wins,
+     objectives within Ties.rel_tol are tie-broken toward the
      lexicographically smallest node path, so the reported objective is
-     reproducible regardless of worker count.
+     reproducible regardless of worker count (and of last-bit LP noise).
 
    Determinism argument (why jobs=1 and jobs=4 report the same
    objective): a node is fathomed only when its parent-relaxation bound
@@ -55,7 +55,6 @@ module Config = struct
     obs : Dvs_obs.t;
     presolve : bool;
     pricing : Simplex.pricing;
-    basis : Simplex.basis_kind;
     refactor : Simplex.refactor_policy option;
     fixings : (Model.var * float) list;
     branching : branching;
@@ -66,7 +65,7 @@ module Config = struct
   let make ?jobs ?(max_nodes = 200_000) ?time_limit ?(gap_rel = 1e-9)
       ?(int_tol = 1e-6) ?(rounding = true) ?log ?cache ?(cache_depth = 4)
       ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
-      ?(pricing = Simplex.Steepest_edge) ?(basis = Simplex.Lu) ?refactor
+      ?(pricing = Simplex.Steepest_edge) ?refactor
       ?(branching = Fractional) ?(node_order = Best_bound) ?(reliability = 4)
       () =
     let jobs =
@@ -86,7 +85,7 @@ module Config = struct
     | _ -> ());
     { jobs; max_nodes; int_tol; gap_rel; time_limit; rounding; sos1 = [];
       warm_start = []; warm_solution = None; root_bound = None; log; cache;
-      cache_depth; fault; obs; presolve; pricing; basis; refactor;
+      cache_depth; fault; obs; presolve; pricing; refactor;
       fixings = []; branching; node_order; reliability }
 
   let default = make ()
@@ -113,8 +112,6 @@ module Config = struct
   let with_presolve presolve t = { t with presolve }
 
   let with_pricing pricing t = { t with pricing }
-
-  let with_basis basis t = { t with basis }
 
   let with_refactor refactor t = { t with refactor = Some refactor }
 
@@ -244,24 +241,6 @@ let canonical_fixings overrides =
   Hashtbl.fold (fun v (lb, ub) acc -> (v, lb, ub) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let most_fractional ~int_tol int_vars (sol : Simplex.solution) =
-  let best = ref None in
-  List.iter
-    (fun v ->
-      let x = sol.values.(v) in
-      let frac = x -. Float.of_int (int_of_float (Float.floor x)) in
-      let dist = Float.min frac (1.0 -. frac) in
-      if dist > int_tol then
-        match !best with
-        | Some (_, d) when d >= dist -> ()
-        | _ -> best := Some (v, dist))
-    int_vars;
-  Option.map fst !best
-
-(* Root-first lexicographic order on branch paths; paths are stored
-   innermost-first, so reverse before comparing. *)
-let path_compare a b = compare (List.rev a) (List.rev b)
-
 let solve ?(config = Config.default) model =
   let open Config in
   let sense, _ = Model.objective model in
@@ -385,7 +364,13 @@ let solve ?(config = Config.default) model =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.bound_flips"
   in
   let c_flops = Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.flops" in
-  (* LU-backend audit trail: how often the basis was refactorized, how
+  (* Kernel-independent LP check: optimal solves whose basis failed the
+     optimality certificate on its final factorization.  Any nonzero
+     value is a kernel bug; Stable so runs compare it bit for bit. *)
+  let c_cert =
+    Dvs_obs.Metrics.counter mx ~stability:Stable "lp.certificate_failures"
+  in
+  (* LU audit trail: how often the basis was refactorized, how
      much fill the factorizations carried, how large the eta files grew,
      and how much solve work hypersparsity skipped outright. *)
   let c_lu_refacts =
@@ -453,6 +438,7 @@ let solve ?(config = Config.default) model =
   let a_lu_eta = Atomic.make 0 in
   let a_lu_fhits = Atomic.make 0 in
   let a_lu_bhits = Atomic.make 0 in
+  let a_cert = Atomic.make 0 in
   (* Pivot count of the first basis-free solve: the cold-start cost a
      warm-started node would otherwise pay, used to estimate
      lp.pivots_saved_warm. *)
@@ -497,13 +483,17 @@ let solve ?(config = Config.default) model =
     let take =
       match !incumbent with
       | None ->
-        (* The seed occupies inc_obj without a solution object: only a
-           strict improvement may displace it. *)
+        (* The seed occupies inc_obj without a solution object: only an
+           improvement beyond Ties.rel_tol may displace it. *)
         (not (Float.is_finite (Atomic.get inc_obj)))
-        || better s.objective (Atomic.get inc_obj)
+        || Ties.compare s.objective (Atomic.get inc_obj) <> 0
+           && better s.objective (Atomic.get inc_obj)
       | Some (_, p0) ->
-        better s.objective (Atomic.get inc_obj)
-        || (s.objective = Atomic.get inc_obj && path_compare path p0 < 0)
+        (* Objectives within Ties.rel_tol are equal: the smaller path
+           wins, whatever the last bits say. *)
+        let c = Ties.compare s.objective (Atomic.get inc_obj) in
+        (c <> 0 && better s.objective (Atomic.get inc_obj))
+        || (c = 0 && Ties.path_compare path p0 < 0)
     in
     if take then begin
       incumbent := Some (s, path);
@@ -563,7 +553,7 @@ let solve ?(config = Config.default) model =
     let fixings = canonical_fixings overrides in
     List.iter (fun (v, lb, ub) -> Compiled.set_bounds sc v ~lb ~ub) fixings;
     let st, b, (sst : Simplex.stats) =
-      Simplex.solve_compiled ~pricing:config.pricing ~backend:config.basis
+      Simplex.solve_compiled ~pricing:config.pricing
         ?refactor:config.refactor ?max_iter ?basis ~ws:workspaces.(wid) sc
     in
     List.iter (fun (v, _, _) -> Compiled.reset_bounds sc v) fixings;
@@ -572,11 +562,12 @@ let solve ?(config = Config.default) model =
     ignore (Atomic.fetch_and_add a_flips sst.Simplex.bound_flips);
     ignore (Atomic.fetch_and_add a_bland sst.Simplex.bland_pivots);
     ignore (Atomic.fetch_and_add a_flops sst.Simplex.flops);
-    ignore (Atomic.fetch_and_add a_lu_refacts sst.Simplex.lu_refactorizations);
+    ignore (Atomic.fetch_and_add a_lu_refacts sst.Simplex.refactorizations);
     ignore (Atomic.fetch_and_add a_lu_fill sst.Simplex.lu_fill_in_nnz);
     ignore (Atomic.fetch_and_add a_lu_eta sst.Simplex.lu_eta_nnz);
     ignore (Atomic.fetch_and_add a_lu_fhits sst.Simplex.ftran_sparse_hits);
     ignore (Atomic.fetch_and_add a_lu_bhits sst.Simplex.btran_sparse_hits);
+    ignore (Atomic.fetch_and_add a_cert sst.Simplex.certificate_failures);
     (match basis with
     | None ->
       ignore
@@ -633,19 +624,18 @@ let solve ?(config = Config.default) model =
       let ok = ref true in
       List.iter
         (fun group ->
-          (* Largest-value member whose bounds still allow 1. *)
-          let best = ref None in
-          List.iter
-            (fun v ->
-              let _, ub = bounds_of v in
-              if ub >= 1.0 then
-                match !best with
-                | Some (_, x) when x >= s.values.(v) -> ()
-                | _ -> best := Some (v, s.values.(v)))
-            group;
-          match !best with
+          (* Largest-value member whose bounds still allow 1 (ties to
+             the smallest index). *)
+          let open_members =
+            List.filter_map
+              (fun v ->
+                let _, ub = bounds_of v in
+                if ub >= 1.0 then Some (v, s.values.(v)) else None)
+              group
+          in
+          match Ties.pick_max open_members with
           | None -> ok := false
-          | Some (winner, _) ->
+          | Some winner ->
             List.iter
               (fun v ->
                 let lb, ub = bounds_of v in
@@ -682,7 +672,9 @@ let solve ?(config = Config.default) model =
       if !budget <= 0 then ()
       else begin
         decr budget;
-        match most_fractional ~int_tol:config.int_tol int_vars s with
+        match
+          Ties.most_fractional ~int_tol:config.int_tol int_vars s.values
+        with
         | None -> try_incumbent path s
         | Some v ->
           let lb, ub = effective_bounds wm overrides v in
@@ -766,22 +758,10 @@ let solve ?(config = Config.default) model =
   let pseudocost_branches = Atomic.make 0 in
   (* ---- worker pool ---- *)
   let cmp_nodes a b =
-    let bound_cmp () =
-      match sense with
-      | Model.Minimize -> Float.compare a.bound b.bound
-      | Maximize -> Float.compare b.bound a.bound
-    in
-    let depth_cmp () = compare b.depth a.depth in
-    let c =
-      match config.node_order with
-      | Config.Best_bound ->
-        let c = bound_cmp () in
-        if c <> 0 then c else depth_cmp ()
-      | Config.Depth_first ->
-        let c = depth_cmp () in
-        if c <> 0 then c else bound_cmp ()
-    in
-    if c <> 0 then c else path_compare a.path b.path
+    Ties.compare_nodes
+      ~minimize:(sense = Model.Minimize)
+      ~depth_first:(config.node_order = Config.Depth_first)
+      (a.bound, a.depth, a.path) (b.bound, b.depth, b.path)
   in
   let queues = Array.init n_workers (fun _ -> Work_queue.create ~cmp:cmp_nodes) in
   let worker_nodes = Array.make n_workers 0 in
@@ -802,7 +782,9 @@ let solve ?(config = Config.default) model =
   (* Classic most-fractional variable dichotomy — the default, and the
      fallback when the entity view finds nothing to branch on. *)
   let branch_fractional wid n (s : Simplex.solution) basis =
-    match most_fractional ~int_tol:config.int_tol int_vars s with
+    match
+      Ties.most_fractional ~int_tol:config.int_tol int_vars s.values
+    with
     | None -> try_incumbent n.path s
     | Some v ->
       let x = s.values.(v) in
@@ -883,7 +865,7 @@ let solve ?(config = Config.default) model =
             (try
                for i = !first to !last - 1 do
                  acc := !acc +. s.values.(vars.(i));
-                 if !acc >= 0.5 *. !total then begin
+                 if Ties.compare !acc (0.5 *. !total) >= 0 then begin
                    split := i;
                    raise Exit
                  end
@@ -906,38 +888,43 @@ let solve ?(config = Config.default) model =
           end
       in
       let probes_left = ref max_probes_per_node in
-      let best = ref None in
-      List.iter
-        (fun e ->
-          let down, up = child_sets e in
-          let d_avg, u_avg, cnt = pc_read e in
-          let score =
-            if cnt < config.reliability && !probes_left > 0 then begin
-              decr probes_left;
-              let probe dir = function
-                | None -> 1e12
-                | Some o -> (
-                  match lp_solve ~iter_cap:100 ?basis ~wid o with
-                  | Simplex.Optimal s', _ ->
-                    let g = Float.abs (s'.objective -. s.objective) in
-                    pc_record e dir g;
-                    g
-                  | Simplex.Infeasible, _ -> 1e12
-                  | (Simplex.Unbounded | Simplex.Iter_limit _), _ -> 0.0)
-              in
-              let gd = probe 0 down in
-              let gu = probe 1 up in
-              Float.max gd 1e-6 *. Float.max gu 1e-6
-            end
-            else Float.max d_avg 1e-6 *. Float.max u_avg 1e-6
-          in
-          match !best with
-          | Some (_, _, _, bs) when bs >= score -> ()
-          | _ -> best := Some (e, down, up, score))
-        cands;
-      (match !best with
+      (* Scores in candidate order (probes run in that order too), then
+         the best score with ties to the smallest entity index. *)
+      let scored =
+        List.map
+          (fun e ->
+            let down, up = child_sets e in
+            let d_avg, u_avg, cnt = pc_read e in
+            let score =
+              if cnt < config.reliability && !probes_left > 0 then begin
+                decr probes_left;
+                let probe dir = function
+                  | None -> 1e12
+                  | Some o -> (
+                    match lp_solve ~iter_cap:100 ?basis ~wid o with
+                    | Simplex.Optimal s', _ ->
+                      let g = Float.abs (s'.objective -. s.objective) in
+                      pc_record e dir g;
+                      g
+                    | Simplex.Infeasible, _ -> 1e12
+                    | (Simplex.Unbounded | Simplex.Iter_limit _), _ -> 0.0)
+                in
+                let gd = probe 0 down in
+                let gu = probe 1 up in
+                Float.max gd 1e-6 *. Float.max gu 1e-6
+              end
+              else Float.max d_avg 1e-6 *. Float.max u_avg 1e-6
+            in
+            (e, (down, up, score)))
+          cands
+      in
+      let best =
+        Ties.pick_max (List.map (fun (e, (_, _, sc)) -> (e, sc)) scored)
+      in
+      (match best with
       | None -> ()
-      | Some (e, down, up, _) ->
+      | Some e ->
+        let down, up, _ = List.assoc e scored in
         Atomic.incr pseudocost_branches;
         (match down with
         | Some o -> spawn_child ~pc:(e, 0) wid n 0 s.objective basis o
@@ -1161,6 +1148,7 @@ let solve ?(config = Config.default) model =
     Mc.add c_lu_eta ~slot:0 (Atomic.get a_lu_eta);
     Mc.add c_lu_fhits ~slot:0 (Atomic.get a_lu_fhits);
     Mc.add c_lu_bhits ~slot:0 (Atomic.get a_lu_bhits);
+    Mc.add c_cert ~slot:0 (Atomic.get a_cert);
     Mc.add c_pc_branches ~slot:0 (Atomic.get pseudocost_branches);
     Dvs_obs.Metrics.Histogram.observe h_solve stats.wall_seconds
   end;

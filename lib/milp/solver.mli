@@ -92,17 +92,9 @@ module Config : sig
     pricing : Dvs_lp.Simplex.pricing;
         (** simplex pricing rule for every relaxation; default
             {!Dvs_lp.Simplex.Steepest_edge} *)
-    basis : Dvs_lp.Simplex.basis_kind;
-        (** simplex basis backend for every relaxation; default
-            {!Dvs_lp.Simplex.Lu} (sparse LU + eta file).
-            {!Dvs_lp.Simplex.Dense} keeps the explicit dense inverse —
-            the correctness oracle and CI ablation leg.  Either backend
-            finds the same vertex; only the linear-algebra cost
-            differs. *)
     refactor : Dvs_lp.Simplex.refactor_policy option;
         (** basis refactorization trigger override; [None] (default)
-            uses {!Dvs_lp.Simplex.default_refactor} for the selected
-            backend *)
+            uses {!Dvs_lp.Simplex.default_refactor} *)
     fixings : (Dvs_lp.Model.var * float) list;
         (** externally implied variable fixings (e.g.
             [Dvs_core.Formulation.implied_fixings] from the edge filter),
@@ -123,7 +115,6 @@ module Config : sig
     ?int_tol:float -> ?rounding:bool -> ?log:(string -> unit) ->
     ?cache:Lp_cache.t -> ?cache_depth:int -> ?fault:Fault.t ->
     ?obs:Dvs_obs.t -> ?presolve:bool -> ?pricing:Dvs_lp.Simplex.pricing ->
-    ?basis:Dvs_lp.Simplex.basis_kind ->
     ?refactor:Dvs_lp.Simplex.refactor_policy ->
     ?branching:branching -> ?node_order:node_order -> ?reliability:int ->
     unit -> t
@@ -147,8 +138,6 @@ module Config : sig
   val with_presolve : bool -> t -> t
 
   val with_pricing : Dvs_lp.Simplex.pricing -> t -> t
-
-  val with_basis : Dvs_lp.Simplex.basis_kind -> t -> t
 
   val with_refactor : Dvs_lp.Simplex.refactor_policy -> t -> t
 

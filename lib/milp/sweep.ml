@@ -108,6 +108,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
   let applied_count = Atomic.make 0 in
   let pool_hit_count = Atomic.make 0 in
   let root_pivot_count = Atomic.make 0 in
+  let cert_failures = Atomic.make 0 in
   let next = Atomic.make 0 in
   let point_config idx d lift =
     let cfg =
@@ -171,16 +172,21 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
     let root_pivots = ref 0 in
     let applied_rev = ref (List.rev pooled) in
     let n_pooled = List.length pooled in
+    let root_lp ?basis cp =
+      let st, b, ls =
+        Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
+          ?refactor:config.Solver.Config.refactor ?basis ~ws cp
+      in
+      root_pivots := !root_pivots + ls.Simplex.pivots;
+      Atomic.fetch_and_add cert_failures ls.Simplex.certificate_failures
+      |> ignore;
+      (st, b)
+    in
     (* Cut-free chained LP first: same compiled form as the previous
        point modulo set_rhs, so the chained basis makes this a dual
        reoptimization. *)
     Compiled.set_rhs c0 deadline_row d;
-    let st0, b0, lstats0 =
-      Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-        ~backend:config.Solver.Config.basis
-        ?refactor:config.Solver.Config.refactor ?basis:!chain ~ws c0
-    in
-    root_pivots := !root_pivots + lstats0.Simplex.pivots;
+    let st0, b0 = root_lp ?basis:!chain c0 in
     (match b0 with Some _ -> chain := b0 | None -> ());
     (match st0 with
     | Simplex.Optimal _ when cut_rounds > 0 ->
@@ -195,12 +201,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
             let basis =
               Option.map (fun b -> Simplex.extend_basis b ~rows:n_pooled) b0
             in
-            let st, bc, ls =
-              Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-                ~backend:config.Solver.Config.basis
-                ?refactor:config.Solver.Config.refactor ?basis ~ws cp
-            in
-            root_pivots := !root_pivots + ls.Simplex.pivots;
+            let st, bc = root_lp ?basis cp in
             match bc with Some b -> Some (cp, b, st) | None -> None
         in
         let row_valid_le cp =
@@ -243,12 +244,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
                 let basis =
                   Simplex.extend_basis bc ~rows:(List.length fresh)
                 in
-                let st, bc', ls =
-                  Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-                    ~backend:config.Solver.Config.basis
-                    ?refactor:config.Solver.Config.refactor ~basis ~ws cp'
-                in
-                root_pivots := !root_pivots + ls.Simplex.pivots;
+                let st, bc' = root_lp ~basis cp' in
                 match bc' with
                 | Some b -> round (r + 1) (Some (cp', b, st))
                 | None -> ()
@@ -394,4 +390,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
   Mc.add (c "cuts.separated") ~slot:0 stats.cuts_separated;
   Mc.add (c "cuts.applied") ~slot:0 stats.cuts_applied;
   Mc.add (c "cuts.pool_hits") ~slot:0 stats.cut_pool_hits;
+  Mc.add
+    (Dvs_obs.Metrics.counter mx ~stability:Stable "lp.certificate_failures")
+    ~slot:0 (Atomic.get cert_failures);
   { points; stats }

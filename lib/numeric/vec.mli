@@ -1,4 +1,4 @@
-(** Dense float vectors.
+(** Float vectors (plain arrays, every entry stored).
 
     Thin helpers over [float array] used by the simplex solver and the
     analytical sweeps.  All operations are eager and allocate fresh arrays

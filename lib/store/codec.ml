@@ -540,11 +540,6 @@ let solver_components (c : Solver.Config.t) =
         (match c.Solver.Config.node_order with
         | Solver.Config.Best_bound -> "best_bound"
         | Solver.Config.Depth_first -> "depth_first") );
-    ( "solver.basis",
-      Key.S
-        (match c.Solver.Config.basis with
-        | Simplex.Lu -> "lu"
-        | Simplex.Dense -> "dense") );
     ( "solver.refactor",
       match c.Solver.Config.refactor with
       | None -> Key.L []

@@ -1,11 +1,16 @@
-(* Dense-vs-LU basis backend equivalence.
+(* Backend-independent LP checks.
 
-   The sparse-LU + eta-file backend must be indistinguishable from the
-   dense-inverse oracle in everything except linear-algebra cost: same
-   statuses, same pivot counts, bit-identical solutions (both backends
-   share every pricing/ratio decision and finish on the same dense
-   factorization), and the same typed fault behavior under injected
-   crashes and pivot exhaustion. *)
+   The simplex carries its basis on one sparse LU factorization, so
+   there is no second backend to compare against.  Instead every optimal
+   solve is judged by an optimality certificate that depends only on the
+   model and the returned basis: the kernel checks it on its final
+   factorization (primal feasibility, reduced-cost signs, complementary
+   slackness, strong duality) and counts failures in
+   [Simplex.stats.certificate_failures] / the Stable [lp.certificate_failures]
+   counter; these tests additionally re-check primal feasibility and the
+   objective against the model itself.  Refactorization cadence changes
+   the linear algebra's roundoff, never the answer: every policy must
+   reach the same status and objective. *)
 
 open Dvs_lp
 module Solver = Dvs_milp.Solver
@@ -16,12 +21,7 @@ module Rng = Dvs_workloads.Rng
 
 (* Random sparse LP built around a known feasible point, sized so the
    basis actually cycles through refactorizations: 12..30 vars, 8..20
-   rows, ~1/3 fill, a mix of Le and Ge rows (Ge forces phase-1 work).
-   All data is generic (fractional, no repeated values), so the
-   instances carry no exact degenerate ties — on tied ratio tests the
-   two backends' last-ulp residual differences could legitimately break
-   a tie differently and the pivot sequences would diverge; on generic
-   data they must coincide exactly. *)
+   rows, ~1/3 fill, a mix of Le and Ge rows (Ge forces phase-1 work). *)
 let seeded_lp seed =
   let rng = Rng.create seed in
   let frac lo hi =
@@ -55,51 +55,76 @@ let seeded_lp seed =
     (Expr.of_terms (List.init n (fun j -> (frac (-4.0) 4.0, vars.(j)))));
   m
 
-let solve_both ?refactor m =
-  let go backend = Simplex.solve_ext ~backend ?refactor m in
-  (go Simplex.Lu, go Simplex.Dense)
-
 let check_objective ~what (a : Simplex.solution) (b : Simplex.solution) =
   let oa = a.Simplex.objective and ob = b.Simplex.objective in
   if Float.abs (oa -. ob) > 1e-9 *. Float.max 1.0 (Float.abs ob) then
     Alcotest.failf "%s: objective %.15g vs %.15g" what oa ob
 
-(* Same status and same objective to 1e-9 on every seed; same pivot
-   count on (nearly) every seed.  Pivot-for-pivot identity between two
-   different factorizations is not a sound floating-point invariant:
-   near a degenerate vertex the backends' last-ulp residual differences
-   can break a ratio-test tie differently and the sequences diverge to
-   an alternate optimum of the same objective.  That happens on 2 of
-   these 25 fixed seeds; the bound below catches any systematic
-   divergence (a pricing or solve bug perturbs most seeds, not two)
-   without enshrining ulp behavior.  Values are not compared entry-wise
-   for the same reason. *)
-let test_lp_backends_agree () =
-  let diverged = ref 0 in
+(* The test's own primal check, straight off the model: every
+   constraint and bound holds and the objective is c.x. *)
+let check_primal ~what m (s : Simplex.solution) =
+  let x = s.Simplex.values in
+  let tol v = 1e-7 *. (1.0 +. Float.abs v) in
+  List.iter
+    (fun (c : Model.constr) ->
+      let lhs = Expr.eval (fun v -> x.(v)) c.Model.expr in
+      let rhs = c.Model.rhs in
+      let bad =
+        match c.Model.cmp with
+        | Model.Le -> lhs > rhs +. tol rhs
+        | Model.Ge -> lhs < rhs -. tol rhs
+        | Model.Eq -> Float.abs (lhs -. rhs) > tol rhs
+      in
+      if bad then
+        Alcotest.failf "%s: row violated (%.12g vs %.12g)" what lhs rhs)
+    (Model.constraints m);
+  Array.iteri
+    (fun v xv ->
+      let lb, ub = Model.bounds m v in
+      if xv < lb -. tol lb || xv > ub +. tol ub then
+        Alcotest.failf "%s: var %d = %.12g outside [%g, %g]" what v xv lb ub)
+    x;
+  let _, obj = Model.objective m in
+  let cx = Expr.eval (fun v -> x.(v)) obj in
+  if Float.abs (cx -. s.Simplex.objective) > 1e-9 *. (1.0 +. Float.abs cx)
+  then
+    Alcotest.failf "%s: objective %.15g vs c.x %.15g" what
+      s.Simplex.objective cx
+
+let certified ~what (st, _, (stats : Simplex.stats)) =
+  if stats.Simplex.certificate_failures <> 0 then
+    Alcotest.failf "%s: %d certificate failure(s) (%a)" what
+      stats.Simplex.certificate_failures Simplex.pp_status st
+
+(* Every seed: the kernel's certificate holds, the solution passes the
+   test's own primal check, and a refactorize-every-pivot solve (a
+   different factorization sequence, hence different roundoff) reaches
+   the same status and objective. *)
+let test_lp_certificate () =
   for seed = 1 to 25 do
     let m = seeded_lp seed in
-    let (st_lu, _, stats_lu), (st_de, _, stats_de) = solve_both m in
-    if stats_lu.Simplex.pivots <> stats_de.Simplex.pivots then
-      incr diverged;
-    match (st_lu, st_de) with
+    let what = Printf.sprintf "seed %d" seed in
+    let ((st, _, _) as r) = Simplex.solve_ext m in
+    certified ~what r;
+    let ((st1, _, _) as r1) =
+      Simplex.solve_ext ~refactor:(Simplex.Pivots 1) m
+    in
+    certified ~what:(what ^ " pivots-1") r1;
+    match (st, st1) with
     | Simplex.Optimal a, Simplex.Optimal b ->
-      check_objective ~what:(Printf.sprintf "seed %d lu-vs-dense" seed) a b
+      check_primal ~what m a;
+      check_objective ~what a b
     | Simplex.Infeasible, Simplex.Infeasible
     | Simplex.Unbounded, Simplex.Unbounded ->
       ()
     | a, b ->
-      Alcotest.failf "seed %d: status %a (lu) vs %a (dense)" seed
+      Alcotest.failf "seed %d: status %a vs %a (pivots 1)" seed
         Simplex.pp_status a Simplex.pp_status b
-  done;
-  if !diverged > 5 then
-    Alcotest.failf
-      "pivot sequences diverged on %d/25 seeds — backends are not \
-       retracing each other's steps"
-      !diverged
+  done
 
 (* Refactorization cadence changes linear-algebra bookkeeping (and its
    roundoff), never the answer: every policy must reach the same status
-   and objective as the default cadence on both backends. *)
+   and objective as the default cadence. *)
 let test_refactor_policy_equivalent () =
   let policies =
     [ Simplex.Pivots 1;
@@ -109,40 +134,57 @@ let test_refactor_policy_equivalent () =
   in
   for seed = 1 to 5 do
     let m = seeded_lp seed in
-    let (ref_lu, _, _), _ = solve_both m in
+    let ref_st, _, _ = Simplex.solve_ext m in
     List.iter
       (fun refactor ->
-        let (st_lu, _, _), (st_de, _, _) = solve_both ~refactor m in
-        match (ref_lu, st_lu, st_de) with
-        | Simplex.Optimal r, Simplex.Optimal a, Simplex.Optimal b ->
-          let what = Printf.sprintf "seed %d (policy)" seed in
-          check_objective ~what r a;
-          check_objective ~what r b
-        | Simplex.Infeasible, Simplex.Infeasible, Simplex.Infeasible
-        | Simplex.Unbounded, Simplex.Unbounded, Simplex.Unbounded ->
+        let ((st, _, _) as r) = Simplex.solve_ext ~refactor m in
+        let what = Printf.sprintf "seed %d (policy)" seed in
+        certified ~what r;
+        match (ref_st, st) with
+        | Simplex.Optimal a, Simplex.Optimal b -> check_objective ~what a b
+        | Simplex.Infeasible, Simplex.Infeasible
+        | Simplex.Unbounded, Simplex.Unbounded ->
           ()
         | _ -> Alcotest.failf "seed %d: status drift under the policy" seed)
       policies
   done
 
-(* The LU backend actually does sparse work: on a model with plenty of
-   rows the dense backend's per-pivot m^2 updates must cost measurably
-   more charged flops than factorization + eta updates. *)
+(* The LU kernel does sparse work: on a sparse model with plenty of
+   rows (150 rows, 4 entries each, over 240 columns) its charged flops
+   stay below what an explicit dense inverse charges for its per-pivot
+   row updates alone (2 m^2 per pivot), before any of its m^3 rebuilds. *)
 let test_lu_saves_flops () =
-  let m = seeded_lp 3 in
-  let (_, _, s_lu), (_, _, s_de) = solve_both m in
-  if s_lu.Simplex.lu_refactorizations < 1 then
-    Alcotest.fail "LU backend built no factorization";
-  if s_lu.Simplex.flops >= s_de.Simplex.flops then
-    Alcotest.failf "LU flops %d not below dense flops %d"
-      s_lu.Simplex.flops s_de.Simplex.flops
+  let rng = Rng.create 3 in
+  let n = 240 and rows = 150 in
+  let m = Model.create () in
+  let vars = Array.init n (fun _ -> Model.add_var ~ub:5.0 m) in
+  for _ = 1 to rows do
+    let terms =
+      List.init 4 (fun _ ->
+          (1.0 +. float_of_int (Rng.int rng 97) /. 31.0, vars.(Rng.int rng n)))
+    in
+    Model.add_constraint m (Expr.of_terms terms) Model.Le
+      (2.0 +. float_of_int (Rng.int rng 89) /. 11.0)
+  done;
+  Model.set_objective m Model.Maximize
+    (Expr.of_terms
+       (List.init n (fun j ->
+            (1.0 +. (float_of_int (Rng.int rng 53) /. 7.0), vars.(j)))));
+  let ((_, _, s) as r) = Simplex.solve_ext m in
+  certified ~what:"sparse" r;
+  if s.Simplex.refactorizations < 1 || s.Simplex.pivots < 20 then
+    Alcotest.failf "too little work to compare (%d pivots)" s.Simplex.pivots;
+  let dense = s.Simplex.pivots * 2 * rows * rows in
+  if s.Simplex.flops >= dense then
+    Alcotest.failf "LU flops %d not below dense per-pivot cost %d"
+      s.Simplex.flops dense
 
 (* ---- singular / near-singular warm hints --------------------------- *)
 
 (* Basis from a well-conditioned model applied to a same-shape model
    whose corresponding basis matrix is singular (duplicate columns):
-   both backends must detect the singularity, fall back to a cold
-   solve, and still return the optimum. *)
+   the kernel must detect the singularity, fall back to a cold solve,
+   and still return the optimum. *)
 let singular_pair scale =
   let build c10 c11 obj_y =
     let m = Model.create () in
@@ -171,26 +213,21 @@ let test_singular_hint_falls_back scale () =
     | Simplex.Optimal _, Some basis, _ -> basis
     | _ -> Alcotest.fail "model A must solve with both vars basic"
   in
-  List.iter
-    (fun backend ->
-      let cold =
-        match Simplex.solve ~backend b with
-        | Simplex.Optimal s -> s
-        | st ->
-          Alcotest.failf "cold solve of B: %a" Simplex.pp_status st
-      in
-      match Simplex.solve_from_basis ~backend basis b with
-      | Simplex.Optimal warm ->
-        if
-          Float.abs (warm.Simplex.objective -. cold.Simplex.objective)
-          > 1e-9
-        then
-          Alcotest.failf "fallback objective %.12g vs cold %.12g"
-            warm.Simplex.objective cold.Simplex.objective
-      | st ->
-        Alcotest.failf "singular hint must fall back to optimal, got %a"
-          Simplex.pp_status st)
-    [ Simplex.Lu; Simplex.Dense ]
+  let cold =
+    match Simplex.solve b with
+    | Simplex.Optimal s -> s
+    | st -> Alcotest.failf "cold solve of B: %a" Simplex.pp_status st
+  in
+  match Simplex.solve_ext ~basis b with
+  | (Simplex.Optimal warm, _, _) as r ->
+    certified ~what:"fallback" r;
+    if Float.abs (warm.Simplex.objective -. cold.Simplex.objective) > 1e-9
+    then
+      Alcotest.failf "fallback objective %.12g vs cold %.12g"
+        warm.Simplex.objective cold.Simplex.objective
+  | st, _, _ ->
+    Alcotest.failf "singular hint must fall back to optimal, got %a"
+      Simplex.pp_status st
 
 (* ---- MILP-level agreement ------------------------------------------ *)
 
@@ -242,29 +279,34 @@ let seeded_dvs_milp seed =
   Model.set_objective m Model.Minimize (all cost);
   (m, List.map Array.to_list (Array.to_list k))
 
-let milp_solve ?fault ~basis ~jobs (m, sos1) =
-  (* No shared Lp_cache across backends: a hit computed by one backend
-     answering the other would mask a divergence. Config.make creates a
-     private cache per solve, which is exactly what we want. *)
+(* Each solve gets a private metrics registry (to read its
+   lp.certificate_failures) and Config.make's private Lp_cache (so no
+   cached relaxation answers a solve it was not computed for). *)
+let milp_solve ?fault ?refactor ~jobs (m, sos1) =
+  let obs = Dvs_obs.metrics_only () in
   let config =
-    Solver.Config.make ~jobs ~basis ?fault ()
+    Solver.Config.make ~jobs ?refactor ?fault ~obs ()
     |> Solver.Config.with_sos1 sos1
   in
-  Solver.solve ~config m
+  let r = Solver.solve ~config m in
+  let failures =
+    Dvs_obs.Metrics.Counter.value
+      (Dvs_obs.Metrics.counter (Dvs_obs.metrics obs)
+         ~stability:Dvs_obs.Metrics.Stable "lp.certificate_failures")
+  in
+  (r, failures)
 
-let check_milp_agree ~what instance (r_lu : Solver.result)
-    (r_de : Solver.result) =
-  if r_lu.Solver.outcome <> r_de.Solver.outcome then
-    Alcotest.failf "%s: outcome %a (lu) vs %a (dense)" what
-      Solver.pp_outcome r_lu.Solver.outcome Solver.pp_outcome
-      r_de.Solver.outcome;
-  match (r_lu.Solver.solution, r_de.Solver.solution) with
+let check_milp_agree ~what instance (r_a : Solver.result)
+    (r_b : Solver.result) =
+  if r_a.Solver.outcome <> r_b.Solver.outcome then
+    Alcotest.failf "%s: outcome %a vs %a" what Solver.pp_outcome
+      r_a.Solver.outcome Solver.pp_outcome r_b.Solver.outcome;
+  match (r_a.Solver.solution, r_b.Solver.solution) with
   | None, None -> ()
   | Some a, Some b ->
     let oa = a.Simplex.objective and ob = b.Simplex.objective in
     if Float.abs (oa -. ob) > 1e-9 *. Float.max 1.0 (Float.abs ob) then
-      Alcotest.failf "%s: objective %.15g (lu) vs %.15g (dense)" what oa
-        ob;
+      Alcotest.failf "%s: objective %.15g vs %.15g" what oa ob;
     let _, sos1 = instance in
     List.iteri
       (fun g group ->
@@ -279,22 +321,37 @@ let check_milp_agree ~what instance (r_lu : Solver.result)
       sos1
   | _ -> Alcotest.failf "%s: solution presence differs" what
 
-let test_milp_backends_agree () =
+let certified_milp ~what (r, failures) =
+  if failures <> 0 then
+    Alcotest.failf "%s: %d LP certificate failure(s)" what failures;
+  r
+
+(* Zero certificate failures over every relaxation of the 25-seed MILP
+   suite at jobs 1 and 4; the same answer at both worker counts and
+   under a refactorize-every-pivot policy (objective, status and the
+   rounded schedule). *)
+let test_milp_certificate () =
   for seed = 1 to 25 do
     let instance = seeded_dvs_milp seed in
+    let base = ref None in
     List.iter
       (fun jobs ->
-        let r_lu = milp_solve ~basis:Simplex.Lu ~jobs instance in
-        let r_de = milp_solve ~basis:Simplex.Dense ~jobs instance in
-        check_milp_agree
-          ~what:(Printf.sprintf "seed %d jobs %d" seed jobs)
-          instance r_lu r_de)
+        let what = Printf.sprintf "seed %d jobs %d" seed jobs in
+        let r = certified_milp ~what (milp_solve ~jobs instance) in
+        let r1 =
+          certified_milp ~what:(what ^ " pivots-1")
+            (milp_solve ~refactor:(Simplex.Pivots 1) ~jobs instance)
+        in
+        check_milp_agree ~what:(what ^ " policy") instance r r1;
+        match !base with
+        | None -> base := Some r
+        | Some r0 -> check_milp_agree ~what:(what ^ " vs jobs 1") instance r0 r)
       [ 1; 4 ]
   done
 
-(* Injected faults fire on node/LP ordinals, not on anything the basis
-   representation touches — so both backends must degrade identically:
-   same typed outcome, same incumbent. *)
+(* Injected faults fire on node/LP ordinals, not on anything the
+   refactorization cadence touches — so every policy must degrade
+   identically: same typed outcome, same incumbent. *)
 let test_fault_agreement () =
   let specs =
     [ ("crash", fun () -> Fault.make ~crash_at_nodes:[ 1 ] ());
@@ -304,18 +361,88 @@ let test_fault_agreement () =
     let instance = seeded_dvs_milp seed in
     List.iter
       (fun (name, fresh) ->
-        let r_lu =
-          milp_solve ~fault:(fresh ()) ~basis:Simplex.Lu ~jobs:1 instance
+        let what = Printf.sprintf "seed %d fault %s" seed name in
+        let r =
+          certified_milp ~what (milp_solve ~fault:(fresh ()) ~jobs:1 instance)
         in
-        let r_de =
-          milp_solve ~fault:(fresh ()) ~basis:Simplex.Dense ~jobs:1
-            instance
+        let r1 =
+          certified_milp ~what
+            (milp_solve ~fault:(fresh ()) ~refactor:(Simplex.Pivots 1)
+               ~jobs:1 instance)
         in
-        check_milp_agree
-          ~what:(Printf.sprintf "seed %d fault %s" seed name)
-          instance r_lu r_de)
+        check_milp_agree ~what instance r r1)
       specs
   done
+
+(* ---- the factorization itself ------------------------------------ *)
+
+(* Row-major [a] (n x n), every entry stored, as the CSC arrays
+   Lu.refactor reads, explicit zeros included (the factorization must
+   drop them). *)
+let csc n a =
+  let ptr = Array.init (n + 1) (fun j -> j * n) in
+  let row = Array.init (n * n) (fun p -> p mod n) in
+  let vals = Array.init (n * n) (fun p -> a.(((p mod n) * n) + (p / n))) in
+  (ptr, row, vals)
+
+let test_lu_solve_3x3 () =
+  let a = [| 2.0; 1.0; -1.0; -3.0; -1.0; 2.0; -2.0; 1.0; 2.0 |] in
+  let ptr, row, vals = csc 3 a in
+  let lu = Lu.create () in
+  if not (Lu.refactor lu ~m:3 ~ptr ~row ~vals ()) then
+    Alcotest.fail "unexpectedly singular"
+  else
+    let x = [| 8.0; -11.0; -3.0 |] in
+    ignore (Lu.ftran lu ~x ~tmp:(Array.make 3 0.0));
+    Array.iteri
+      (fun i e ->
+        if Float.abs (x.(i) -. e) > 1e-12 then
+          Alcotest.failf "x%d = %.15g, expected %g" i x.(i) e)
+      [| 2.0; 3.0; -1.0 |]
+
+let test_lu_singular () =
+  let ptr, row, vals = csc 2 [| 1.0; 2.0; 2.0; 4.0 |] in
+  Alcotest.(check bool) "singular" false
+    (Lu.refactor (Lu.create ()) ~m:2 ~ptr ~row ~vals ())
+
+(* One factorization object refactored in place across random sparse
+   diagonally dominant matrices of varying size: FTRAN inverts A x and
+   BTRAN inverts A^T z every time, whatever the buffers held before. *)
+let qcheck_lu_roundtrip =
+  let shared = Lu.create () in
+  QCheck.Test.make ~name:"LU refactor round-trips a*x" ~count:200
+    QCheck.(pair (int_range 1 9) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let r () = float_of_int (Rng.int rng 2001 - 1000) /. 200.0 in
+      let a =
+        Array.init (n * n) (fun k ->
+            if k / n = k mod n then 20.0 +. r ()
+            else if Rng.int rng 3 = 0 then r ()
+            else 0.0)
+      in
+      let x = Array.init n (fun _ -> r ()) in
+      let mul tr v =
+        Array.init n (fun i ->
+            let s = ref 0.0 in
+            for j = 0 to n - 1 do
+              let aij = if tr then a.((j * n) + i) else a.((i * n) + j) in
+              s := !s +. (aij *. v.(j))
+            done;
+            !s)
+      in
+      let ptr, row, vals = csc n a in
+      Lu.refactor shared ~m:n ~ptr ~row ~vals ()
+      &&
+      let tmp = Array.make n 0.0 in
+      let close u v =
+        Array.for_all2 (fun p q -> Float.abs (p -. q) < 1e-9) u v
+      in
+      let b = mul false x in
+      ignore (Lu.ftran shared ~x:b ~tmp);
+      let c = mul true x in
+      ignore (Lu.btran shared ~x:c ~tmp);
+      close b x && close c x)
 
 (* ---- config plumbing ----------------------------------------------- *)
 
@@ -335,8 +462,8 @@ let test_refactor_validation () =
            ()))
 
 let suite =
-  [ Alcotest.test_case "LP backends agree over 25 seeds" `Quick
-      test_lp_backends_agree;
+  [ Alcotest.test_case "LP certificate holds on every seed" `Quick
+      test_lp_certificate;
     Alcotest.test_case "refactor policy never changes the answer" `Quick
       test_refactor_policy_equivalent;
     Alcotest.test_case "LU charges fewer flops than dense" `Quick
@@ -345,9 +472,12 @@ let suite =
       (test_singular_hint_falls_back 1.0);
     Alcotest.test_case "near-singular warm hint falls back" `Quick
       (test_singular_hint_falls_back (1.0 +. 1e-13));
-    Alcotest.test_case "MILP backends agree over 25 seeds x jobs {1,4}"
-      `Quick test_milp_backends_agree;
-    Alcotest.test_case "fault injection agrees across backends" `Quick
+    Alcotest.test_case "MILP certificate holds across jobs" `Quick
+      test_milp_certificate;
+    Alcotest.test_case "faults agree across refactor policies" `Quick
       test_fault_agreement;
+    Alcotest.test_case "LU solves a 3x3 system" `Quick test_lu_solve_3x3;
+    Alcotest.test_case "LU detects a singular matrix" `Quick test_lu_singular;
+    QCheck_alcotest.to_alcotest qcheck_lu_roundtrip;
     Alcotest.test_case "refactor config validation" `Quick
       test_refactor_validation ]

@@ -4,6 +4,10 @@
 
 open Dvs_ir
 
+(* Sequential MILP solve (one worker). *)
+let milp_seq m =
+  Dvs_milp.Solver.solve ~config:(Dvs_milp.Solver.Config.make ~jobs:1 ()) m
+
 let compile src = fst (Dvs_lang.Lower.compile_string src)
 
 (* ------------------------------------------------------------------ *)
@@ -311,9 +315,9 @@ let test_block_based_no_better_than_edges () =
       ~regulator:machine.Dvs_machine.Config.regulator
       [ { Dvs_core.Formulation.profile; weight = 1.0; deadline } ]
   in
-  let block_milp = Dvs_milp.Branch_bound.solve block_form.Dvs_core.Formulation.model in
+  let block_milp = milp_seq block_form.Dvs_core.Formulation.model in
   match (edge_r.Dvs_core.Pipeline.predicted_energy,
-         block_milp.Dvs_milp.Branch_bound.solution)
+         block_milp.Dvs_milp.Solver.solution)
   with
   | Some edge_e, Some s ->
     let block_e = s.Dvs_lp.Simplex.objective /. 1e6 in

@@ -6,6 +6,10 @@
 open Dvs_ir
 open Dvs_core
 
+(* Sequential MILP solve (one worker). *)
+let milp_seq m =
+  Dvs_milp.Solver.solve ~config:(Dvs_milp.Solver.Config.make ~jobs:1 ()) m
+
 (* CFG: entry -> loop head -> (body -> head)* -> exit. *)
 let cfg =
   let b = Cfg.Builder.create () in
@@ -161,8 +165,8 @@ let solve_milp deadline =
     Formulation.build ~regulator
       [ { Formulation.profile; weight = 1.0; deadline } ]
   in
-  let r = Dvs_milp.Branch_bound.solve f.Formulation.model in
-  match r.Dvs_milp.Branch_bound.solution with
+  let r = milp_seq f.Formulation.model in
+  match r.Dvs_milp.Solver.solution with
   | Some s -> Some (s.Dvs_lp.Simplex.objective /. 1e6)
   | None -> None
 
@@ -197,8 +201,8 @@ let test_transition_costs_matter () =
     Formulation.build ~regulator:expensive
       [ { Formulation.profile; weight = 1.0; deadline = d } ]
   in
-  let r = Dvs_milp.Branch_bound.solve f.Formulation.model in
-  match r.Dvs_milp.Branch_bound.solution with
+  let r = milp_seq f.Formulation.model in
+  match r.Dvs_milp.Solver.solution with
   | None -> Alcotest.fail "no solution"
   | Some s ->
     let sched = Schedule.of_solution f s in
@@ -304,8 +308,8 @@ let test_multi_category_matches_brute_force () =
   in
   let milp =
     match
-      (Dvs_milp.Branch_bound.solve f.Formulation.model)
-        .Dvs_milp.Branch_bound.solution
+      (milp_seq f.Formulation.model)
+        .Dvs_milp.Solver.solution
     with
     | Some s -> s.Dvs_lp.Simplex.objective /. 1e6
     | None -> Alcotest.fail "multi-category MILP found nothing"
@@ -416,9 +420,9 @@ let test_lp_roundtrip () =
         Alcotest.failf "objective term %s %g became %s %g" v1 a1 v2 a2)
     (oterms m obj1) (oterms m2 obj2);
   (* And the parsed model solves to the same optimum. *)
-  let r1 = Dvs_milp.Branch_bound.solve m in
-  let r2 = Dvs_milp.Branch_bound.solve m2 in
-  match (r1.Dvs_milp.Branch_bound.solution, r2.Dvs_milp.Branch_bound.solution)
+  let r1 = milp_seq m in
+  let r2 = milp_seq m2 in
+  match (r1.Dvs_milp.Solver.solution, r2.Dvs_milp.Solver.solution)
   with
   | Some s1, Some s2 ->
     if

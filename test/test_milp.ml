@@ -1,18 +1,21 @@
 open Dvs_lp
 open Dvs_milp
 
+(* The historic sequential search: one worker. *)
+let solve_seq m = Solver.solve ~config:(Solver.Config.make ~jobs:1 ()) m
+
 let check_float ?(eps = 1e-6) what expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.9g, got %.9g" what expected actual
 
 let solve_opt m =
-  let r = Branch_bound.solve m in
-  match (r.Branch_bound.outcome, r.solution) with
-  | Branch_bound.Optimal, Some s -> s
+  let r = solve_seq m in
+  match (r.Solver.outcome, r.solution) with
+  | Solver.Optimal, Some s -> s
   | o, _ ->
     Alcotest.failf "expected optimal, got %s"
       (match o with
-      | Branch_bound.Optimal -> "optimal"
+      | Solver.Optimal -> "optimal"
       | Feasible _ -> "feasible"
       | Infeasible -> "infeasible"
       | Unbounded -> "unbounded"
@@ -60,17 +63,17 @@ let test_integer_infeasible () =
   let m = Model.create () in
   let x = Model.add_var ~integer:true ~lb:0.4 ~ub:0.6 m in
   Model.set_objective m Model.Minimize (Expr.var x);
-  let r = Branch_bound.solve m in
+  let r = solve_seq m in
   Alcotest.(check bool) "infeasible" true
-    (r.Branch_bound.outcome = Branch_bound.Infeasible)
+    (r.Solver.outcome = Solver.Infeasible)
 
 let test_unbounded () =
   let m = Model.create () in
   let x = Model.add_var ~integer:true m in
   Model.set_objective m Model.Maximize (Expr.var x);
-  let r = Branch_bound.solve m in
+  let r = solve_seq m in
   Alcotest.(check bool) "unbounded" true
-    (r.Branch_bound.outcome = Branch_bound.Unbounded)
+    (r.Solver.outcome = Solver.Unbounded)
 
 (* SOS1-shaped model mimicking the DVS formulation: per group exactly one
    mode on, costs differ, a shared budget constraint. *)
@@ -154,7 +157,7 @@ let qcheck_milp_vs_enumeration =
       in
       (* Branch and bound answer. *)
       let m, _ = build () in
-      let r = Branch_bound.solve m in
+      let r = solve_seq m in
       (* Enumeration answer: fix binaries, LP-complete. *)
       let best = ref None in
       for mask = 0 to (1 lsl nbin) - 1 do
@@ -170,9 +173,9 @@ let qcheck_milp_vs_enumeration =
           | _ -> best := Some s.objective)
         | _ -> ()
       done;
-      match (r.Branch_bound.outcome, r.solution, !best) with
-      | Branch_bound.Infeasible, _, None -> true
-      | Branch_bound.Optimal, Some s, Some o ->
+      match (r.Solver.outcome, r.solution, !best) with
+      | Solver.Infeasible, _, None -> true
+      | Solver.Optimal, Some s, Some o ->
         Float.abs (s.objective -. o) <= 1e-5 *. Float.max 1.0 (Float.abs o)
       | _ -> false)
 
@@ -194,7 +197,7 @@ let qcheck_solution_is_integral =
       done;
       Model.set_objective m Model.Minimize
         (Expr.of_terms (List.init n (fun j -> (c.(j), vars.(j)))));
-      match (Branch_bound.solve m).Branch_bound.solution with
+      match (solve_seq m).Solver.solution with
       | None -> true
       | Some s ->
         List.for_all
@@ -404,6 +407,79 @@ let test_presolve_equivalence () =
       [ (true, 1); (true, 4); (false, 4) ]
   done
 
+(* ---- explicit ties: search decisions ignore last-bit noise -------- *)
+
+(* Move [x] by [k] ULPs (negative: downwards). *)
+let ulps k x =
+  let r = ref x in
+  for _ = 1 to abs k do
+    r := if k > 0 then Float.succ !r else Float.pred !r
+  done;
+  !r
+
+(* LP values and open-node sets built to be full of exact ties —
+   fractional parts from {1/2, 1/4, 1/3, 2/3, 3/4}, scores and bounds
+   from a handful of values — then every value perturbed by up to
+   4 ULPs either way.  The branching variable, the pseudocost pick and
+   the node pop order must not change. *)
+let qcheck_ties_survive_ulp_noise =
+  let fracs = [| 0.0; 0.5; 0.25; 1.0 /. 3.0; 2.0 /. 3.0; 0.75 |] in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 24 in
+      let* ints = array_size (return n) (int_range 0 3) in
+      let* fr =
+        array_size (return n) (int_range 0 (Array.length fracs - 1))
+      in
+      let* scores = array_size (return n) (int_range 0 3) in
+      let* nodes =
+        list_size (int_range 1 20)
+          (triple (int_range 0 3) (int_range 0 3)
+             (list_size (int_range 0 4) (int_range 0 1)))
+      in
+      let* noise = array_size (return ((2 * n) + 20)) (int_range (-4) 4) in
+      return (ints, fr, scores, nodes, noise))
+  in
+  QCheck.Test.make ~name:"ties survive 4-ULP noise" ~count:300
+    (QCheck.make gen) (fun (ints, fr, scores, nodes, noise) ->
+      let n = Array.length ints in
+      let noisy i x = ulps noise.(i mod Array.length noise) x in
+      let values =
+        Array.init n (fun v -> float_of_int ints.(v) +. fracs.(fr.(v)))
+      in
+      let vars = List.init n Fun.id in
+      let branch vals = Ties.most_fractional ~int_tol:1e-6 vars vals in
+      let score_of = [| 1e-6; 0.125; 1.0 /. 3.0; 2500.0 |] in
+      let scored f = List.init n (fun e -> (e, f e score_of.(scores.(e)))) in
+      let bounds = [| -1.5; 0.0; 1.0 /. 3.0; 1234.5678 |] in
+      let node_list f =
+        List.mapi
+          (fun id (b, depth, path) -> (id, (f id bounds.(b), depth, path)))
+          nodes
+      in
+      let pop_order ~minimize ~depth_first nl =
+        let q =
+          Work_queue.create ~cmp:(fun (_, a) (_, b) ->
+              Ties.compare_nodes ~minimize ~depth_first a b)
+        in
+        List.iter (Work_queue.push q) nl;
+        let rec drain acc =
+          match Work_queue.pop q with
+          | Some (id, _) -> drain (id :: acc)
+          | None -> List.rev acc
+        in
+        drain []
+      in
+      branch values = branch (Array.mapi noisy values)
+      && Ties.pick_max (scored (fun _ s -> s))
+         = Ties.pick_max (scored (fun e s -> noisy (n + e) s))
+      && List.for_all
+           (fun (minimize, depth_first) ->
+             pop_order ~minimize ~depth_first (node_list (fun _ b -> b))
+             = pop_order ~minimize ~depth_first
+                 (node_list (fun id b -> noisy ((2 * n) + id) b)))
+           [ (true, false); (false, false); (true, true) ])
+
 let suite =
   [ Alcotest.test_case "knapsack" `Quick test_knapsack;
     Alcotest.test_case "general integers" `Quick test_general_integers;
@@ -419,4 +495,5 @@ let suite =
       test_presolve_equivalence;
     QCheck_alcotest.to_alcotest qcheck_milp_vs_enumeration;
     QCheck_alcotest.to_alcotest qcheck_solution_is_integral;
-    QCheck_alcotest.to_alcotest qcheck_parallel_determinism ]
+    QCheck_alcotest.to_alcotest qcheck_parallel_determinism;
+    QCheck_alcotest.to_alcotest qcheck_ties_survive_ulp_noise ]
