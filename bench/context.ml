@@ -1,7 +1,7 @@
 (* Shared, lazily cached data for the experiment harness: compiled
    workloads and per-(workload, input, mode-table) profiles.  Profiling is
-   the expensive step (one full simulation per mode), so every experiment
-   goes through this cache. *)
+   the expensive step (one recording plus a pinned replay per mode), so
+   every experiment goes through this cache. *)
 
 open Dvs_workloads
 
@@ -51,7 +51,7 @@ let profile ?(kind = Xscale3) ~input name =
     let w = Workload.find name in
     let cfg, _, mem = Workload.load w ~input in
     let p =
-      Dvs_store.Exec.profile ?store ~source:(name ^ ":" ^ input)
+      Dvs_store.Exec.profile ?store ~obs ~source:(name ^ ":" ^ input)
         (config_of kind) cfg ~memory:mem
     in
     Hashtbl.replace profile_cache (name, input, kind) p;

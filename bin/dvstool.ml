@@ -1101,6 +1101,18 @@ let bench_diff_cmd =
          else
            Printf.sprintf "  (gated, tolerance %.2f)" shed_tolerance)
     | _ -> ());
+    (* Profiling work (recordings, pinned replays): information only —
+       a baseline without the section prints as 0. *)
+    let profile_field j k =
+      Option.value ~default:0
+        (Option.bind (Dvs_obs.Json.member "profile" j) (fun p ->
+             Option.bind (Dvs_obs.Json.member k p) Dvs_obs.Json.to_int))
+    in
+    List.iter
+      (fun k ->
+        Format.printf "%-12s %12d -> %12d  (informational)@."
+          ("profile:" ^ k) (profile_field bj k) (profile_field cj k))
+      [ "recordings"; "replays" ];
     (* Continuous-bound pre-pruning (PR 9): when the baseline shows the
        sweep pruning points off the exact continuous certificate, the
        current run must still prune at least one — a silent fall to zero

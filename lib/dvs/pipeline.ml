@@ -561,9 +561,26 @@ let optimize_multi ?config ?verify_config ?session ~regulator ~memory
       baseline_rung (skipped_milp ())
   end
 
+(* Profile an input and open its verification session from one
+   recording: a warm session replays the very tape the profile was
+   derived from.  A cold session re-simulates every check, so it needs
+   no recording of its own. *)
+let profile_and_session ~(config : Config.t) machine cfg ~memory =
+  let recording = Dvs_machine.Summary.create machine cfg ~memory in
+  let session =
+    if config.Config.cold_verify then
+      Verify.Session.create ~cold:true machine cfg ~memory
+    else Verify.Session.of_summary recording
+  in
+  (Dvs_profile.Profile.of_summary recording, session)
+
 let optimize ?config machine cfg ~memory ~deadline =
-  let profile = Dvs_profile.Profile.collect machine cfg ~memory in
-  optimize_multi ?config
+  let profile, session =
+    profile_and_session
+      ~config:(Option.value config ~default:Config.default)
+      machine cfg ~memory
+  in
+  optimize_multi ?config ~session
     ~regulator:machine.Dvs_machine.Config.regulator ~memory
     [ { Formulation.profile; weight = 1.0; deadline } ]
 
@@ -591,10 +608,13 @@ let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
      mode exclusions derived there stay exact at every tighter point, and
      each sweep point is only an RHS delta on the shared model. *)
   let d_loosest = Array.fold_left Float.max neg_infinity deadlines in
-  let profile =
-    match profile with
-    | Some p -> p
-    | None -> Dvs_profile.Profile.collect machine cfg ~memory
+  let profile, session =
+    match (profile, session, verify_config) with
+    | Some p, _, _ -> (p, session)
+    | None, None, None ->
+      let p, s = profile_and_session ~config machine cfg ~memory in
+      (p, Some s)
+    | None, _, _ -> (Dvs_profile.Profile.collect machine cfg ~memory, session)
   in
   let category d = { Formulation.profile; weight = 1.0; deadline = d } in
   let { prep_formulation = formulation;

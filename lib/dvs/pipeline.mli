@@ -216,7 +216,10 @@ val optimize :
   Dvs_machine.Config.t -> Dvs_ir.Cfg.t -> memory:int array ->
   deadline:float -> result
 (** Single input category: profiles, then runs {!optimize_multi} with the
-    config's regulator. *)
+    config's regulator.  The profile and the verification session share
+    one recording of the input ({!Dvs_profile.Profile.of_summary},
+    {!Verify.Session.of_summary}); under [Config.t.cold_verify] the
+    session is cold instead. *)
 
 type sweep_result = {
   results : result array;  (** one per input deadline, in input order *)
@@ -254,7 +257,9 @@ val optimize_sweep :
     ([session] if given, otherwise created internally — cycle-accurate
     when [Config.t.cold_verify]), so the whole sweep pays for one
     recording simulation; within each verification worker, consecutive
-    points re-verify incrementally against each other.
+    points re-verify incrementally against each other.  Given neither
+    [profile], [session] nor [verify_config], the profile is derived from
+    that same recording, so the input is simulated once in all.
 
     Raises [Invalid_argument] if [deadlines] is empty or contains a
     non-positive or non-finite value. *)

@@ -31,36 +31,32 @@ let simulate ?fuel ?obs config cfg ~memory ~schedule =
   Dvs_machine.Cpu.run ~rc config cfg ~memory
 
 module Session = struct
-  type t = {
-    config : Dvs_machine.Config.t;
-    cfg : Dvs_ir.Cfg.t;
-    memory : int array;
-    fuel : int option;
-    cold : bool;
-    summary : Dvs_machine.Summary.t option;  (* None iff cold *)
-  }
+  type t =
+    | Cold of {
+        config : Dvs_machine.Config.t;
+        cfg : Dvs_ir.Cfg.t;
+        memory : int array;
+        fuel : int option;
+      }
+    | Warm of Dvs_machine.Summary.t
 
   let create ?fuel ?(cold = false) ?obs config cfg ~memory =
-    let memory = Array.copy memory in
-    let summary =
-      if cold then None
-      else Some (Dvs_machine.Summary.create ?fuel ?obs config cfg ~memory)
-    in
-    { config; cfg; memory; fuel; cold; summary }
+    if cold then Cold { config; cfg; memory = Array.copy memory; fuel }
+    else Warm (Dvs_machine.Summary.create ?fuel ?obs config cfg ~memory)
 
-  let cold t = t.cold
+  let of_summary s = Warm s
+
+  let cold = function Cold _ -> true | Warm _ -> false
 
   let edge_mode_of schedule =
     Array.map Option.some schedule.Schedule.edge_mode
 
   let check ?obs t ~schedule ~deadline ~predicted_energy =
-    match t.summary with
-    | None ->
-      let stats =
-        simulate ?fuel:t.fuel ?obs t.config t.cfg ~memory:t.memory ~schedule
-      in
+    match t with
+    | Cold { config; cfg; memory; fuel } ->
+      let stats = simulate ?fuel ?obs config cfg ~memory ~schedule in
       make_report stats ~deadline ~predicted_energy ~token:0
-    | Some s ->
+    | Warm s ->
       let r =
         Dvs_machine.Summary.replay ?obs s
           ~entry_mode:schedule.Schedule.entry_mode
@@ -71,24 +67,14 @@ module Session = struct
 
   let check_incremental ?obs t ~against ~schedule ~deadline ~predicted_energy
       =
-    match t.summary with
-    | None ->
-      let stats =
-        simulate ?fuel:t.fuel ?obs t.config t.cfg ~memory:t.memory ~schedule
-      in
-      make_report stats ~deadline ~predicted_energy ~token:0
-    | Some s ->
+    match t with
+    | Warm s when against.token <> 0 ->
       let r =
-        if against.token = 0 then
-          Dvs_machine.Summary.replay ?obs s
-            ~entry_mode:schedule.Schedule.entry_mode
-            ~edge_mode:(edge_mode_of schedule)
-        else
-          Dvs_machine.Summary.replay_incremental ?obs s
-            ~against:against.token
-            ~entry_mode:schedule.Schedule.entry_mode
-            ~edge_mode:(edge_mode_of schedule)
+        Dvs_machine.Summary.replay_incremental ?obs s ~against:against.token
+          ~entry_mode:schedule.Schedule.entry_mode
+          ~edge_mode:(edge_mode_of schedule)
       in
       make_report r.Dvs_machine.Summary.stats ~deadline ~predicted_energy
         ~token:r.Dvs_machine.Summary.token
+    | _ -> check ?obs t ~schedule ~deadline ~predicted_energy
 end

@@ -51,6 +51,11 @@ module Session : sig
       alive via [--cold-verify].  A cold session skips the recording
       run. *)
 
+  val of_summary : Dvs_machine.Summary.t -> t
+  (** A warm session over an existing recording — e.g. the one a
+      {!Dvs_profile.Profile.of_summary} profile of the same input was
+      built from, so profile and session share one simulation. *)
+
   val check :
     ?obs:Dvs_obs.t ->
     t -> schedule:Schedule.t -> deadline:float -> predicted_energy:float ->

@@ -18,7 +18,9 @@ type t = {
   entry : label;
   blocks : block array;
   edges : edge array;
-  edge_idx : (edge, int) Hashtbl.t;
+  edge_start : int array;
+      (* edges of source [l] are [edges.(edge_start.(l)) ..
+         edges.(edge_start.(l + 1) - 1)], in terminator order *)
   succs : label list array;
   preds : label list array;
 }
@@ -44,9 +46,13 @@ let build_graph entry blocks =
         ts)
     blocks;
   let edges = Array.of_list (List.rev !edge_list) in
-  let edge_idx = Hashtbl.create (Array.length edges) in
-  Array.iteri (fun i e -> Hashtbl.replace edge_idx e i) edges;
-  { entry; blocks; edges; edge_idx; succs; preds }
+  (* [edges] lists each source's out-edges contiguously (blocks in label
+     order), so a prefix sum of out-degrees indexes them per source. *)
+  let edge_start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun l ts -> edge_start.(l + 1) <- edge_start.(l) + List.length ts)
+    succs;
+  { entry; blocks; edges; edge_start; succs; preds }
 
 let entry g = g.entry
 
@@ -65,10 +71,17 @@ let predecessors g l = g.preds.(l)
 
 let edges g = g.edges
 
-let edge_index g e =
-  match Hashtbl.find_opt g.edge_idx e with
-  | Some i -> i
-  | None -> raise Not_found
+let first_out_edge g l = g.edge_start.(l)
+
+let edge_index g { src; dst } =
+  if src < 0 || src >= Array.length g.blocks then raise Not_found;
+  (* At most two successors: a linear scan of the source's slice. *)
+  let rec scan i stop =
+    if i >= stop then raise Not_found
+    else if g.edges.(i).dst = dst then i
+    else scan (i + 1) stop
+  in
+  scan g.edge_start.(src) g.edge_start.(src + 1)
 
 let validate g =
   let n = Array.length g.blocks in

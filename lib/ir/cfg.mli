@@ -45,6 +45,10 @@ val edges : t -> edge array
 val edge_index : t -> edge -> int
 (** Position of an edge in {!edges}.  Raises [Not_found] for non-edges. *)
 
+val first_out_edge : t -> label -> int
+(** Position in {!edges} of [l]'s first out-edge: a block's out-edges
+    (at most two) are consecutive in {!edges}, in terminator order. *)
+
 val validate : t -> (unit, string) result
 (** Checks: entry in range, all terminator targets in range, labels dense
     and consistent with array positions. *)

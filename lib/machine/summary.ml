@@ -50,6 +50,7 @@ type baseline = {
 
 type t = {
   config : Config.t;
+  cfg : Cfg.t;
   static_blocks : int;
   tape : Tape.t;
   n_modes : int;
@@ -62,6 +63,8 @@ type t = {
 let max_baselines = 8
 
 let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
+  (* The tape takes the recording run's own final registers and memory:
+     nothing else holds them. *)
   let recorder = Tape.recorder cfg in
   let rc = Cpu.Run_config.make ?fuel ~obs ~recorder () in
   let stats = Cpu.run ~rc config cfg ~memory in
@@ -71,7 +74,7 @@ let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
       ~memory:stats.Cpu.memory
   in
   let n_modes = Dvs_power.Mode.size config.mode_table in
-  { config; static_blocks = Array.length (Cfg.blocks cfg); tape; n_modes;
+  { config; cfg; static_blocks = Array.length (Cfg.blocks cfg); tape; n_modes;
     summaries =
       Array.init
         (Array.length tape.Tape.variants)
@@ -79,6 +82,12 @@ let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
     next_token = Atomic.make 1; lock = Mutex.create (); baselines = [] }
 
 let n_edges t = t.tape.Tape.n_edges
+
+let config t = t.config
+
+let cfg t = t.cfg
+
+let tape t = t.tape
 
 let positions t = Tape.positions t.tape
 
@@ -101,10 +110,11 @@ let check_edge_mode t edge_mode =
 
 let stride t = Int.max 64 (Tape.positions t.tape / 256)
 
-(* Replay tape positions [from_pos, len), mutating [st], collecting
-   checkpoints (newest first) at every stride position, and draining
-   outstanding memory traffic at the end of the tape. *)
-let exec_range t obs st ~edge_mode ~from_pos =
+(* Replay tape positions [from_pos, len), mutating [st], and drain
+   outstanding memory traffic at the end of the tape.  Unobserved, it
+   collects checkpoints (newest first) at every stride position;
+   observed, it calls [observer] at each block entry instead. *)
+let exec_range ?observer t obs st ~edge_mode ~from_pos =
   let cfg = t.config in
   let table = cfg.Config.mode_table in
   let tape = t.tape in
@@ -240,12 +250,50 @@ let exec_range t obs st ~edge_mode ~from_pos =
   let len = Tape.positions tape in
   let k = stride t in
   let cks = ref [] in
-  for p = from_pos to len - 1 do
-    if p mod k = 0 then cks := (p, copy_state st) :: !cks;
-    let e = tape.Tape.edge_of.(p) in
-    if e >= 0 then (
-      match edge_mode.(e) with Some m -> set_mode m | None -> ());
-    replay_block tape.Tape.seq.(p)
+  (* Next checkpoint position: the stride multiples from [from_pos] on
+     (a countdown, not a division per position). *)
+  let next_ck =
+    ref
+      (if Option.is_none observer then (from_pos + k - 1) / k * k
+       else max_int)
+  in
+  let prev_label = ref (-1) in
+  (* Walk the packed stream chunk by chunk, decoding each word in place
+     (Tape.mli, "Position stream"). *)
+  let vb = tape.Tape.variant_bits in
+  let vmask = (1 lsl vb) - 1 in
+  let chunk_len = 1 lsl Tape.chunk_bits in
+  let base = ref from_pos in
+  while !base < len do
+    let chunk = tape.Tape.stream.(!base lsr Tape.chunk_bits) in
+    let off = !base land (chunk_len - 1) in
+    let n = Int.min (len - !base) (chunk_len - off) in
+    for i = 0 to n - 1 do
+      let p = !base + i in
+      if p = !next_ck then begin
+        cks := (p, copy_state st) :: !cks;
+        next_ck := p + k
+      end;
+      let w =
+        Int32.to_int (Bytes.get_int32_ne chunk (4 * (off + i)))
+        land 0xFFFF_FFFF
+      in
+      let e = (w lsr vb) - 1 in
+      if e >= 0 then (
+        match edge_mode.(e) with Some m -> set_mode m | None -> ());
+      (* Same point as Cpu.run's block-entry notify: after the edge
+         mode-set, with the previous block's costs committed. *)
+      let vid = w land vmask in
+      (match observer with
+      | None -> ()
+      | Some f ->
+        let label = tape.Tape.variants.(vid).Tape.label in
+        let via = if p = 0 then None else Some !prev_label in
+        f label ~via ~time:st.time ~energy:st.energy;
+        prev_label := label);
+      replay_block vid
+    done;
+    base := !base + n
   done;
   (* Drain outstanding memory traffic (mirrors Cpu.run at Halt). *)
   if st.busy_end > st.time then begin
@@ -261,9 +309,10 @@ let stats_of t st =
     l2 = t.tape.Tape.l2; overlap_cycles = st.overlap;
     dependent_cycles = st.dependent; cache_hit_cycles = st.cache_hit;
     miss_busy_time = st.miss_busy; stall_time = st.stall;
-    registers = Array.copy t.tape.Tape.registers;
-    memory = Array.copy t.tape.Tape.memory }
+    registers = t.tape.Tape.registers; memory = t.tape.Tape.memory }
 
+(* [stats_of] shares the tape's architectural arrays (baselines keep it
+   that way); every stats record handed out gets its own copies. *)
 let publish_stats (s : Cpu.run_stats) =
   { s with
     Cpu.registers = Array.copy s.Cpu.registers;
@@ -339,16 +388,17 @@ let find_baseline t token =
 
 let fresh_token t = Atomic.fetch_and_add t.next_token 1
 
-let replay ?(obs = Dvs_obs.disabled) t ~entry_mode ~edge_mode =
+let replay ?(obs = Dvs_obs.disabled) ?observer t ~entry_mode ~edge_mode =
   check_edge_mode t edge_mode;
   let run_span = start_span obs t in
   let st = init_state t ~entry_mode in
-  let cks = exec_range t obs st ~edge_mode ~from_pos:0 in
+  let cks = exec_range ?observer t obs st ~edge_mode ~from_pos:0 in
   let stats = stats_of t st in
   let token = fresh_token t in
-  store_baseline t token
-    { b_entry = entry_mode; b_edge = Array.copy edge_mode;
-      b_cks = Array.of_list (List.rev cks); b_stats = stats };
+  if Option.is_none observer then
+    store_baseline t token
+      { b_entry = entry_mode; b_edge = Array.copy edge_mode;
+        b_cks = Array.of_list (List.rev cks); b_stats = stats };
   emit_obs obs run_span ~stats ~blocks:st.blocks ~hits:st.hits
     ~misses:st.misses ~spliced:0;
   { stats = publish_stats stats; token }

@@ -47,6 +47,13 @@ val create :
     {!Dvs_obs.disabled}).  Raises whatever {!Cpu.run} raises
     ({!Cpu.Out_of_fuel}, address errors). *)
 
+val config : t -> Config.t
+
+val cfg : t -> Dvs_ir.Cfg.t
+
+val tape : t -> Tape.t
+(** The recorded tape; read-only by contract. *)
+
 val n_edges : t -> int
 (** Length expected of {!replay}'s [edge_mode] array (the CFG's edge
     count, {!Dvs_ir.Cfg.edges} order). *)
@@ -63,8 +70,8 @@ type result = {
 }
 
 val replay :
-  ?obs:Dvs_obs.t -> t -> entry_mode:int -> edge_mode:int option array ->
-  result
+  ?obs:Dvs_obs.t -> ?observer:Cpu.observer -> t -> entry_mode:int ->
+  edge_mode:int option array -> result
 (** Re-cost the recorded execution under a schedule: [entry_mode] is the
     mode at program start, [edge_mode.(i)] an optional mode-set on CFG
     edge [i] (applied on every traversal, silent when unchanged — same
@@ -76,6 +83,14 @@ val replay :
     [sim.summary_misses] and [sim.spliced_segments] counters (volatile
     because hit/miss split depends on cache warm-up order across
     domains; totals of the stable instruments are exact).
+
+    [observer] fires at every block entry exactly where {!Cpu.run}'s
+    does — after the entering edge's mode-set, with the previous block's
+    time and energy committed — so per-block cost attribution from a
+    replay is bit-identical to one from a cycle-accurate run.  An
+    observed replay keeps no splice baseline (no checkpoints are taken):
+    {!replay_incremental} against its token falls back to a full
+    replay, as for an evicted baseline.
 
     Raises [Invalid_argument] when [edge_mode] has the wrong length or a
     mode index is out of range. *)

@@ -48,6 +48,55 @@ type variant = {
   summarizable : bool;
 }
 
+(* ---- packed position stream ------------------------------------------- *)
+
+(* One 32-bit word per dynamic block: [(edge + 1) lsl variant_bits lor
+   variant], edge [-1] (field 0) at program entry.  The edge field gets
+   just enough bits for the CFG's edge count and the variant field the
+   rest, so a program never hits the limit unless it has hundreds of
+   millions of variants.  Words live in fixed-size chunks: growing
+   appends a chunk, never copies the stream. *)
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let chunk_bits = 14
+
+let chunk_len = 1 lsl chunk_bits
+
+let chunk_mask = chunk_len - 1
+
+let word_bits = 32
+
+let variant_bits ~n_edges =
+  if n_edges < 0 then invalid_arg "Tape.variant_bits: negative edge count";
+  (* the edge field holds 0 .. n_edges *)
+  let rec bits k = if n_edges lsr k = 0 then k else bits (k + 1) in
+  let vb = word_bits - bits 0 in
+  if vb < 1 then invalid_arg "Tape: too many CFG edges for the position stream";
+  vb
+
+let pack_bits vb ~n_edges ~variant ~edge =
+  if variant < 0 || variant lsr vb <> 0 then
+    invalid_arg
+      (Printf.sprintf "Tape.pack: variant %d overflows %d bits" variant vb);
+  if edge < -1 || edge >= n_edges then
+    invalid_arg
+      (Printf.sprintf "Tape.pack: edge %d outside [-1, %d)" edge n_edges);
+  ((edge + 1) lsl vb) lor variant
+
+let pack ~n_edges ~variant ~edge =
+  pack_bits (variant_bits ~n_edges) ~n_edges ~variant ~edge
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+end)
+
 (* Growable int buffer (no Buffer for ints in the stdlib). *)
 module Ibuf = struct
   type t = { mutable data : int array; mutable len : int }
@@ -64,52 +113,111 @@ module Ibuf = struct
     end;
     b.data.(b.len) <- v;
     b.len <- b.len + 1
-
-  let contents b = Array.sub b.data 0 b.len
 end
 
 type recorder = {
   cfg : Cfg.t;
-  (* variant hash-consing: (label, ops) -> variant index *)
-  intern : (Cfg.label * int array, int) Hashtbl.t;
-  mutable vars : variant list;  (* newest first *)
+  n_edges : int;
+  vbits : int;
+  (* variant hash-consing: hash of (label, ops) -> candidate indices *)
+  intern : int list Itbl.t;
+  last_of : int array;  (* per label, the variant it last produced *)
+  mutable vars : variant array;  (* first [n_vars] slots live *)
   mutable n_vars : int;
-  seq : Ibuf.t;
-  edge_of : Ibuf.t;
+  mutable chunks : Bytes.t array;  (* first [n_chunks] slots live *)
+  mutable n_chunks : int;
+  mutable len : int;  (* positions written *)
   cur : Ibuf.t;  (* ops of the block being recorded *)
   mutable cur_label : Cfg.label;
+  mutable cur_edge : int;
   mutable cur_dyn : int;
   mutable in_block : bool;
 }
 
+let no_variant = { label = -1; ops = [||]; dyn = 0; summarizable = true }
+
 let recorder cfg =
-  { cfg; intern = Hashtbl.create 256; vars = []; n_vars = 0;
-    seq = Ibuf.create 4096; edge_of = Ibuf.create 4096;
-    cur = Ibuf.create 64; cur_label = 0; cur_dyn = 0; in_block = false }
+  let n_edges = Array.length (Cfg.edges cfg) in
+  { cfg; n_edges; vbits = variant_bits ~n_edges; intern = Itbl.create 256;
+    last_of = Array.make (Cfg.num_blocks cfg) (-1);
+    vars = Array.make 64 no_variant; n_vars = 0;
+    chunks = Array.make 16 Bytes.empty; n_chunks = 0; len = 0;
+    cur = Ibuf.create 64; cur_label = 0; cur_edge = -1; cur_dyn = 0;
+    in_block = false }
+
+let push_word r w =
+  let slot = r.len land chunk_mask in
+  if slot = 0 then begin
+    if r.n_chunks = Array.length r.chunks then begin
+      let chunks = Array.make (2 * r.n_chunks) Bytes.empty in
+      Array.blit r.chunks 0 chunks 0 r.n_chunks;
+      r.chunks <- chunks
+    end;
+    r.chunks.(r.n_chunks) <- Bytes.create (4 * chunk_len);
+    r.n_chunks <- r.n_chunks + 1
+  end;
+  set32 r.chunks.(r.n_chunks - 1) (4 * slot) (Int32.of_int w);
+  r.len <- r.len + 1
+
+let hash_current r =
+  let h = ref (r.cur_label + 0x9e3779b9) in
+  let data = r.cur.Ibuf.data in
+  for i = 0 to r.cur.Ibuf.len - 1 do
+    h := (!h * 31) + data.(i)
+  done;
+  !h land max_int
+
+let matches r (v : variant) =
+  v.label = r.cur_label
+  && Array.length v.ops = r.cur.Ibuf.len
+  &&
+  let data = r.cur.Ibuf.data in
+  let rec eq i = i < 0 || (v.ops.(i) = data.(i) && eq (i - 1)) in
+  eq (r.cur.Ibuf.len - 1)
+
+let new_variant r h cands =
+  let ops = Array.sub r.cur.Ibuf.data 0 r.cur.Ibuf.len in
+  let summarizable =
+    Array.for_all
+      (fun op ->
+        let t = op_tag op in
+        t <> tag_miss_load && t <> tag_miss_store && t <> tag_modeset)
+      ops
+  in
+  let id = r.n_vars in
+  if id = Array.length r.vars then begin
+    let vars = Array.make (2 * id) no_variant in
+    Array.blit r.vars 0 vars 0 id;
+    r.vars <- vars
+  end;
+  r.vars.(id) <- { label = r.cur_label; ops; dyn = r.cur_dyn; summarizable };
+  r.n_vars <- id + 1;
+  Itbl.replace r.intern h (id :: cands);
+  id
 
 let flush_block r =
   if r.in_block then begin
-    let ops = Ibuf.contents r.cur in
-    let key = (r.cur_label, ops) in
+    (* Intern in place: a block mostly repeats its previous variant, so
+       try that first; otherwise hash the op buffer and compare it
+       against the candidates under that hash.  Only a new variant
+       allocates. *)
+    let last = r.last_of.(r.cur_label) in
     let id =
-      match Hashtbl.find_opt r.intern key with
-      | Some id -> id
-      | None ->
-        let summarizable =
-          Array.for_all
-            (fun op ->
-              let t = op_tag op in
-              t <> tag_miss_load && t <> tag_miss_store && t <> tag_modeset)
-            ops
+      if last >= 0 && matches r r.vars.(last) then last
+      else begin
+        let h = hash_current r in
+        let cands = try Itbl.find r.intern h with Not_found -> [] in
+        let rec find = function
+          | [] -> new_variant r h cands
+          | id :: rest -> if matches r r.vars.(id) then id else find rest
         in
-        let v = { label = r.cur_label; ops; dyn = r.cur_dyn; summarizable } in
-        let id = r.n_vars in
-        r.vars <- v :: r.vars;
-        r.n_vars <- id + 1;
-        Hashtbl.add r.intern key id;
+        let id = find cands in
+        r.last_of.(r.cur_label) <- id;
         id
+      end
     in
-    Ibuf.push r.seq id;
+    push_word r
+      (pack_bits r.vbits ~n_edges:r.n_edges ~variant:id ~edge:r.cur_edge);
     Ibuf.clear r.cur;
     r.cur_dyn <- 0;
     r.in_block <- false
@@ -117,15 +225,13 @@ let flush_block r =
 
 let enter_block r ~label ~via =
   flush_block r;
-  let e =
-    match via with
+  r.cur_edge <-
+    (match via with
     | None -> -1
     | Some src -> (
       match Cfg.edge_index r.cfg { Cfg.src; dst = label } with
       | idx -> idx
-      | exception Not_found -> -1)
-  in
-  Ibuf.push r.edge_of e;
+      | exception Not_found -> -1));
   r.cur_label <- label;
   r.in_block <- true
 
@@ -135,8 +241,9 @@ let instr r = r.cur_dyn <- r.cur_dyn + 1
 
 type t = {
   variants : variant array;
-  seq : int array;
-  edge_of : int array;
+  stream : Bytes.t array;
+  positions : int;
+  variant_bits : int;
   first_edge_pos : int array;
   n_edges : int;
   n_regs : int;
@@ -147,25 +254,39 @@ type t = {
   memory : int array;
 }
 
+let word t p =
+  Int32.to_int (get32 t.stream.(p lsr chunk_bits) (4 * (p land chunk_mask)))
+  land 0xFFFF_FFFF
+
+let unpack t ~pos ~variants ~edges =
+  if pos < 0 || Array.length edges < Array.length variants then
+    invalid_arg "Tape.unpack";
+  let n = Int.max 0 (Int.min (Array.length variants) (t.positions - pos)) in
+  let vb = t.variant_bits in
+  for i = 0 to n - 1 do
+    let w = word t (pos + i) in
+    variants.(i) <- w land ((1 lsl vb) - 1);
+    edges.(i) <- (w lsr vb) - 1
+  done;
+  n
+
 let create r ~dyn_instrs ~l1 ~l2 ~registers ~memory =
   flush_block r;
-  let seq = Ibuf.contents r.seq in
-  if Array.length seq = 0 then
-    invalid_arg "Tape.create: empty recording";
-  let variants = Array.of_list (List.rev r.vars) in
-  let edge_of = Ibuf.contents r.edge_of in
-  let n_edges = Array.length (Cfg.edges r.cfg) in
-  let first_edge_pos = Array.make n_edges max_int in
-  Array.iteri
-    (fun pos e ->
-      if e >= 0 && first_edge_pos.(e) = max_int then
-        first_edge_pos.(e) <- pos)
-    edge_of;
-  { variants; seq; edge_of; first_edge_pos; n_edges;
-    n_regs = Array.length registers; dyn_instrs; l1; l2;
-    registers = Array.copy registers; memory = Array.copy memory }
+  if r.len = 0 then invalid_arg "Tape.create: empty recording";
+  let t =
+    { variants = Array.sub r.vars 0 r.n_vars;
+      stream = Array.sub r.chunks 0 r.n_chunks; positions = r.len;
+      variant_bits = r.vbits; first_edge_pos = Array.make r.n_edges max_int;
+      n_edges = r.n_edges; n_regs = Array.length registers; dyn_instrs; l1;
+      l2; registers; memory }
+  in
+  for pos = r.len - 1 downto 0 do
+    let e = (word t pos lsr t.variant_bits) - 1 in
+    if e >= 0 then t.first_edge_pos.(e) <- pos
+  done;
+  t
 
-let positions t = Array.length t.seq
+let positions t = t.positions
 
 let first_divergence t ~entry_changed ~edges =
   if entry_changed then Some 0

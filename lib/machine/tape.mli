@@ -100,9 +100,11 @@ val instr : recorder -> unit
 
 type t = {
   variants : variant array;
-  seq : int array;  (** variant index per dynamic block position *)
-  edge_of : int array;
-      (** incoming {!Cfg.edge_index} per position; [-1] at entry *)
+  stream : Bytes.t array;
+      (** the packed position stream: one 32-bit word per dynamic
+          block, in fixed-size chunks (see "Position stream" below) *)
+  positions : int;  (** dynamic blocks on the tape *)
+  variant_bits : int;  (** width of a word's variant field *)
   first_edge_pos : int array;
       (** per edge index, the first position entered through that edge
           ([max_int] when the edge was never traversed) *)
@@ -124,8 +126,39 @@ val create :
   memory:int array -> t
 (** Seal the recording, taking the schedule-independent final state
     (registers, memory, cache stats, instruction count) from the
-    recording run's stats.  Raises [Invalid_argument] if the recorder
-    saw no blocks. *)
+    recording run's stats.  The tape takes ownership of [registers] and
+    [memory] (it does not copy them), so pass arrays nobody else
+    mutates — a finished {!Cpu.run}'s own.  Raises [Invalid_argument]
+    if the recorder saw no blocks. *)
+
+(** {2 Position stream}
+
+    Position [p] is the 32-bit native-endian word at byte
+    [4 * (p land (1 lsl chunk_bits - 1))] of [stream.(p lsr chunk_bits)].
+    It packs the variant index of the [p]-th dynamic block and the
+    {!Cfg.edge_index} it was entered through ([-1] at program entry) as
+    [(edge + 1) lsl variant_bits lor variant] — a quarter of the memory
+    of two int arrays; the edge field is only as wide as the CFG's edge
+    count needs.  {!unpack} decodes it; {!Summary}'s replay loop decodes
+    words in place, because it runs once per position of every replay
+    and a call per position there costs several percent. *)
+
+val chunk_bits : int
+(** A stream chunk holds [1 lsl chunk_bits] positions. *)
+
+val unpack :
+  t -> pos:int -> variants:int array -> edges:int array -> int
+(** [unpack t ~pos ~variants ~edges] decodes the positions from [pos]
+    on into the two buffers — variant index, and incoming edge ([-1] at
+    program entry) — as many as [variants] holds or the tape has left,
+    and returns how many.  Raises [Invalid_argument] if [pos] is
+    negative or [edges] is shorter than [variants]. *)
+
+val pack : n_edges:int -> variant:int -> edge:int -> int
+(** The word for one position of a tape over a CFG with [n_edges]
+    edges (the recorder's encoding).  Raises [Invalid_argument] when
+    [variant] overflows its field or [edge] lies outside [[-1,
+    n_edges)]. *)
 
 val positions : t -> int
 (** Dynamic blocks on the tape. *)

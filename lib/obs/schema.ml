@@ -282,6 +282,13 @@ let bench_summary ?(experiment_walls = []) ~metrics ~experiments
          diffable. *)
       ( "points_pruned_by_bound",
         Json.Int (total "sweep.points_pruned_by_bound") );
+      (* Profiling work: recordings made and pinned replays run by
+         Profile.collect.  Information only: older baselines lack it and
+         bench-diff gates neither. *)
+      ( "profile",
+        Json.Obj
+          [ ("recordings", Json.Int (total "profile.recordings"));
+            ("replays", Json.Int (total "profile.replays")) ] );
       (* Service-experiment gauges (PR 7): set by `bench service' into
          the shared registry; omitted (never null) when the experiment
          did not run, so older baselines stay diffable. *)

@@ -169,15 +169,19 @@ let model_for t ~workload ~input =
       match
         let machine = machine_config t.cfg in
         let prog, _, mem = Workload.load w ~input in
-        (* Profiling is one pinned simulation per mode — the expensive
-           part of warming a model.  With a store configured, a daemon
-           restart rehydrates it from disk instead (DESIGN.md section
-           14). *)
+        (* One recording serves both the profile (a pinned replay per
+           mode) and the verification session — the expensive part of
+           warming a model.  With a store configured, a daemon restart
+           rehydrates the profile from disk instead (DESIGN.md section
+           14), and the recording is made for the session alone. *)
+        let recording =
+          lazy (Dvs_machine.Summary.create machine prog ~memory:mem)
+        in
         let profile =
-          Dvs_store.Exec.profile ?store:t.store
+          Dvs_store.Exec.profile ?store:t.store ~recording
             ~source:(workload ^ ":" ^ input) machine prog ~memory:mem
         in
-        let session = Verify.Session.create machine prog ~memory:mem in
+        let session = Verify.Session.of_summary (Lazy.force recording) in
         let n = Dvs_power.Mode.size machine.Dvs_machine.Config.mode_table in
         let t_fast = Dvs_profile.Profile.pinned_time profile ~mode:(n - 1) in
         let t_slow = Dvs_profile.Profile.pinned_time profile ~mode:0 in

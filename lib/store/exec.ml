@@ -25,8 +25,12 @@ let solver_cacheable (c : Solver.Config.t) = c.Solver.Config.fault = None
 
 (* ---- sim: profiles ---------------------------------------------------- *)
 
-let profile ?store ?fuel ~source machine cfg ~memory =
-  let collect () = Profile.collect ?fuel machine cfg ~memory in
+let profile ?store ?fuel ?obs ?recording ~source machine cfg ~memory =
+  let collect () =
+    match recording with
+    | Some r -> Profile.of_summary ?obs (Lazy.force r)
+    | None -> Profile.collect ?fuel ?obs machine cfg ~memory
+  in
   match store with
   | None -> collect ()
   | Some st -> (

@@ -20,6 +20,8 @@
 val profile :
   ?store:Store.t ->
   ?fuel:int ->
+  ?obs:Dvs_obs.t ->
+  ?recording:Dvs_machine.Summary.t Lazy.t ->
   source:string ->
   Dvs_machine.Config.t ->
   Dvs_ir.Cfg.t ->
@@ -29,7 +31,14 @@ val profile :
     program and input (e.g. ["adpcm:default"]); together with the
     memory-image fingerprint and every machine parameter it pins the
     key.  Artifact kind: ["sim"] — one entry covers the per-mode pinned
-    simulation runs. *)
+    profile.
+
+    [recording], when given, must be a recording of this same machine,
+    CFG, memory image and fuel; a miss then profiles it with
+    {!Dvs_profile.Profile.of_summary} instead of recording afresh, and a
+    hit never forces it — so a caller that also needs a verification
+    session of the input simulates it at most once.  [obs] goes to the
+    profiler on a miss. *)
 
 val optimize_multi :
   ?store:Store.t ->
