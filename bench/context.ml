@@ -175,25 +175,17 @@ let optimize ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
 (* A whole deadline grid in one call, through the parametric sweep
    engine (shared cut pool, tightest-first incumbent lifting,
    cross-point basis reuse). *)
-let optimize_sweep ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
-    ?solver ?instances ?cut_rounds name ~deadlines =
+let optimize_sweep ?solver name ~deadlines =
   let w = Workload.find name in
-  let input =
-    match input with Some i -> i | None -> Workload.default_input w
-  in
-  let p = profile ~kind ~input name in
-  let regulator =
-    match regulator with Some r -> r | None -> default_regulator
-  in
+  let input = Workload.default_input w in
+  let p = profile ~input name in
   let solver =
-    match solver with Some s -> s | None -> solver_config ?jobs ()
+    match solver with Some s -> s | None -> solver_config ()
   in
-  let config =
-    { pipeline_config with Dvs_core.Pipeline.Config.filter; solver }
-  in
-  let machine = config_of ~regulator kind in
+  let config = { pipeline_config with Dvs_core.Pipeline.Config.solver } in
+  let machine = config_of ~regulator:default_regulator Xscale3 in
   let cfg, _, mem = Workload.load w ~input in
   Dvs_store.Exec.optimize_sweep ?store ~config ~verify_config:machine
     ~profile:p
-    ~session:(fun () -> session ~kind ~regulator ~input name)
-    ?instances ?cut_rounds machine cfg ~memory:mem ~deadlines
+    ~session:(fun () -> session ~regulator:default_regulator ~input name)
+    machine cfg ~memory:mem ~deadlines

@@ -326,6 +326,25 @@ let no_continuous_bound_opt =
            root dual bound, no rounded incumbent seed, no sweep \
            pre-pruning, no continuous-rounded ladder rung.")
 
+(* Profile an input through the store and hand back a verification
+   session thunk over the same recording, so a cold run simulates the
+   input once: the recording is made only when a profile miss or the
+   session needs it.  A cold-verify session re-simulates every check and
+   needs no recording. *)
+let profile_and_session ?store w ~input machine cfg mem =
+  let recording = lazy (Dvs_machine.Summary.create machine cfg ~memory:mem) in
+  let p =
+    Dvs_store.Exec.profile ?store ~recording
+      ~source:(w.Dvs_workloads.Workload.name ^ ":" ^ input) machine cfg
+      ~memory:mem
+  in
+  let session ~cold_verify () =
+    if cold_verify then
+      Dvs_core.Verify.Session.create ~cold:true machine cfg ~memory:mem
+    else Dvs_core.Verify.Session.of_summary (Lazy.force recording)
+  in
+  (p, session)
+
 let optimize_cmd =
   let run w input capacitance levels frac no_filter save jobs strict
       no_continuous_bound store_root trace metrics =
@@ -338,11 +357,7 @@ let optimize_cmd =
         (fun root -> Dvs_store.Store.open_ ~obs ~root ())
         store_root
     in
-    let p =
-      Dvs_store.Exec.profile ?store
-        ~source:(w.Dvs_workloads.Workload.name ^ ":" ^ input) machine cfg
-        ~memory:mem
-    in
+    let p, session = profile_and_session ?store w ~input machine cfg mem in
     let n = Dvs_power.Mode.size machine.Dvs_machine.Config.mode_table in
     let t_fast = Dvs_profile.Profile.pinned_time p ~mode:(n - 1) in
     let t_slow = Dvs_profile.Profile.pinned_time p ~mode:0 in
@@ -355,6 +370,7 @@ let optimize_cmd =
     in
     let r =
       Dvs_store.Exec.optimize_multi ?store ~config ~verify_config:machine
+        ~session:(session ~cold_verify:false)
         ~regulator:machine.Dvs_machine.Config.regulator ~memory:mem
         [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline } ]
     in
@@ -533,11 +549,8 @@ let reproduce_cmd =
         (fun root -> Dvs_store.Store.open_ ~obs ~root ())
         store_root
     in
-    let p =
-      Dvs_store.Exec.profile ?store
-        ~source:(w.Dvs_workloads.Workload.name ^ ":" ^ input) machine cfg
-        ~memory:mem
-    in
+    let p, session = profile_and_session ?store w ~input machine cfg mem in
+    let session = session ~cold_verify in
     let deadlines = Dvs_workloads.Deadlines.sweep_of_profile p in
     let solver = Dvs_milp.Solver.Config.make ?jobs () in
     let config =
@@ -550,14 +563,14 @@ let reproduce_cmd =
         Array.map
           (fun deadline ->
             Dvs_store.Exec.optimize_multi ?store ~config
-              ~verify_config:machine
+              ~verify_config:machine ~session
               ~regulator:machine.Dvs_machine.Config.regulator ~memory:mem
               [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline } ])
           deadlines
       else begin
         let sw =
           Dvs_store.Exec.optimize_sweep ?store ~config ~verify_config:machine
-            ~profile:p machine cfg ~memory:mem ~deadlines
+            ~profile:p ~session machine cfg ~memory:mem ~deadlines
         in
         let st = sw.Dvs_core.Pipeline.sweep in
         Format.printf

@@ -1,16 +1,15 @@
 (** End-to-end compile-time DVS: profile -> (filter) -> MILP -> schedule
     -> verify.  The driver behind the experiments and the CLI.
 
-    {b Degradation ladder.} With {!Resilience.t.ladder} on (the default)
-    the pipeline is {e anytime}: instead of surfacing a failed or
-    suspect MILP solve, it walks a ladder of progressively cheaper
-    strategies until one produces a schedule that passes re-simulation —
-    full MILP, then bounded cold retries without the warm start, then
-    argmax rounding of the bare LP relaxation, then the rounded
-    continuous schedule ({!Relaxation.round}), then the
+    {b Degradation ladder.} The pipeline is {e anytime}: instead of
+    surfacing a failed or suspect MILP solve, it walks a ladder of
+    progressively cheaper strategies until one produces a schedule that
+    passes re-simulation — full MILP, then bounded cold retries without
+    the warm start, then argmax rounding of the bare LP relaxation, then
+    the rounded continuous schedule ({!Relaxation.round}), then the
     single-best-frequency baseline.  Every rung is post-checked with
-    {!Verify.Session.check} (deadline met in simulation), degraded rungs are
-    additionally rejected when they cost more energy than the
+    {!Verify.Session.check} (deadline met in simulation), degraded rungs
+    are additionally rejected when they cost more energy than the
     single-mode baseline, and the result names the accepted rung plus
     every rejection on the way down ({!result.rung},
     {!result.descents}). *)
@@ -24,31 +23,20 @@ module Resilience : sig
   type entry = From_milp | From_rounded_lp | From_single_mode
 
   type t = {
-    ladder : bool;
-        (** walk the degradation ladder (default true); when false the
-            pipeline reproduces the historic single-shot behavior *)
     max_retries : int;
         (** cold MILP retries before falling to the LP rung (default 2) *)
-    retry_budget_factor : float;
-        (** node budget multiplier per retry, in (0, 1] (default 0.5):
-            retry [k] runs with [max_nodes *. factor^k] *)
     entry : entry;
         (** first rung attempted (default {!From_milp}); the [dvsd]
             service lowers it as a request's wall-clock budget drains
             ({!for_budget}) *)
   }
 
-  val make :
-    ?ladder:bool -> ?max_retries:int -> ?retry_budget_factor:float ->
-    ?entry:entry -> unit -> t
-  (** Raises [Invalid_argument] when [max_retries < 0] or
-      [retry_budget_factor] is outside (0, 1]. *)
-
   val default : t
-  (** [make ()]: ladder on, 2 retries, factor 0.5, entry {!From_milp}. *)
+  (** 2 retries, entry {!From_milp}. *)
 
-  val off : t
-  (** Ladder disabled — historic single-shot pipeline. *)
+  val retry_budget_factor : float
+  (** [0.5]: node budget multiplier per retry — retry [k] runs with
+      [max_nodes *. retry_budget_factor ** k]. *)
 
   val for_budget : budget:float -> remaining:float -> t -> t
   (** Budget-to-ladder mapping: with [remaining/budget >= 0.5] the
@@ -64,13 +52,10 @@ end
     and caching in one place. *)
 module Config : sig
   type t = {
-    filter : bool;  (** apply Section 5.2 edge filtering (default true) *)
-    filter_threshold : float;  (** default 0.02 *)
+    filter : bool;
+        (** apply Section 5.2 edge filtering at {!Filter}'s default 2%
+            threshold (default true) *)
     solver : Dvs_milp.Solver.Config.t;
-    verify : bool;  (** re-simulate the chosen schedule (default true);
-                        with the ladder on, rungs are verified regardless
-                        — this flag only controls whether the historic
-                        single-shot path attaches a report *)
     resilience : Resilience.t;
     cold_verify : bool;
         (** force every verification through the cycle-accurate
@@ -87,18 +72,13 @@ module Config : sig
   }
 
   val make :
-    ?filter:bool -> ?filter_threshold:float ->
-    ?solver:Dvs_milp.Solver.Config.t -> ?verify:bool ->
+    ?filter:bool -> ?solver:Dvs_milp.Solver.Config.t ->
     ?resilience:Resilience.t -> ?cold_verify:bool ->
     ?continuous_bound:bool -> unit -> t
   (** [solver] defaults to [Dvs_milp.Solver.Config.make ()];
       [resilience] to {!Resilience.default}. *)
 
   val default : t
-
-  val with_solver : Dvs_milp.Solver.Config.t -> t -> t
-
-  val with_resilience : Resilience.t -> t -> t
 
   val with_obs : Dvs_obs.t -> t -> t
   (** Thread one observability bundle through all three layers: the MILP
@@ -114,7 +94,7 @@ type rung =
   | Milp  (** first full MILP solve *)
   | Milp_retry of int
       (** [k]-th cold retry: no warm start, no shared cache, node budget
-          scaled by [retry_budget_factor^k] *)
+          scaled by [Resilience.retry_budget_factor ** k] *)
   | Rounded_lp
       (** argmax rounding of the bare LP relaxation (the one-binary-per
           SOS1-group structure makes fractional argmax a valid schedule) *)
@@ -231,8 +211,6 @@ val optimize_sweep :
   ?verify_config:Dvs_machine.Config.t ->
   ?profile:Dvs_profile.Profile.t ->
   ?session:Verify.Session.t ->
-  ?instances:int ->
-  ?cut_rounds:int ->
   Dvs_machine.Config.t -> Dvs_ir.Cfg.t -> memory:int array ->
   deadlines:float array -> sweep_result
 (** [optimize_sweep machine cfg ~memory ~deadlines] runs the paper's
@@ -249,15 +227,16 @@ val optimize_sweep :
     its own deadline is accepted at the {!rung.Milp} rung; [Infeasible]
     and [Unbounded] points are terminal (no schedule), and anything else
     falls back to the classic {!optimize_multi} degradation ladder for
-    that point alone.  [instances] (default 1) solves that many sweep
-    points concurrently; [cut_rounds] (default 3) bounds each point's
-    root cutting loop.
+    that point alone.  The sweep solves its points one at a time; each
+    point's root cutting loop runs at most three rounds.
 
     All per-point verifications run through one shared {!Verify.Session}
     ([session] if given, otherwise created internally — cycle-accurate
     when [Config.t.cold_verify]), so the whole sweep pays for one
-    recording simulation; within each verification worker, consecutive
-    points re-verify incrementally against each other.  Given neither
+    recording simulation.  Verification fans out over
+    [min points (Domain.recommended_domain_count ())] domains; within
+    each, consecutive points re-verify incrementally against each
+    other.  Given neither
     [profile], [session] nor [verify_config], the profile is derived from
     that same recording, so the input is simulated once in all.
 

@@ -33,49 +33,31 @@ module Config = struct
     | Fractional
     | Pseudocost_gub
 
-  type node_order =
-    | Best_bound
-    | Depth_first
-
   type t = {
     jobs : int;
     max_nodes : int;
-    int_tol : float;
-    gap_rel : float;
     time_limit : float option;
-    rounding : bool;
     sos1 : Model.var list list;
     warm_start : (Model.var * float) list;
     warm_solution : Simplex.solution option;
     root_bound : float option;
-    log : (string -> unit) option;
     cache : Lp_cache.t option;
-    cache_depth : int;
     fault : Fault.t option;
     obs : Dvs_obs.t;
     presolve : bool;
-    pricing : Simplex.pricing;
     refactor : Simplex.refactor_policy option;
     fixings : (Model.var * float) list;
     branching : branching;
-    node_order : node_order;
-    reliability : int;
   }
 
-  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?(gap_rel = 1e-9)
-      ?(int_tol = 1e-6) ?(rounding = true) ?log ?cache ?(cache_depth = 4)
-      ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
-      ?(pricing = Simplex.Steepest_edge) ?refactor
-      ?(branching = Fractional) ?(node_order = Best_bound) ?(reliability = 4)
-      () =
+  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?cache
+      ?(obs = Dvs_obs.disabled) ?(presolve = true) ?refactor () =
     let jobs =
       match jobs with
       | Some j when j >= 1 -> j
       | Some _ -> invalid_arg "Solver.Config.make: jobs must be >= 1"
       | None -> Domain.recommended_domain_count ()
     in
-    if reliability < 0 then
-      invalid_arg "Solver.Config.make: reliability must be >= 0";
     (match refactor with
     | Some (Simplex.Pivots k) when k < 1 ->
       invalid_arg "Solver.Config.make: refactor pivot trigger must be >= 1"
@@ -83,20 +65,13 @@ module Config = struct
       when max_pivots < 1 || not (Float.is_finite growth) || growth <= 0.0 ->
       invalid_arg "Solver.Config.make: refactor eta trigger must be positive"
     | _ -> ());
-    { jobs; max_nodes; int_tol; gap_rel; time_limit; rounding; sos1 = [];
-      warm_start = []; warm_solution = None; root_bound = None; log; cache;
-      cache_depth; fault; obs; presolve; pricing; refactor;
-      fixings = []; branching; node_order; reliability }
+    { jobs; max_nodes; time_limit; sos1 = []; warm_start = [];
+      warm_solution = None; root_bound = None; cache; fault = None; obs;
+      presolve; refactor; fixings = []; branching = Fractional }
 
   let default = make ()
 
-  let with_jobs jobs t =
-    if jobs < 1 then invalid_arg "Solver.Config.with_jobs: jobs must be >= 1";
-    { t with jobs }
-
   let with_branching branching t = { t with branching }
-
-  let with_node_order node_order t = { t with node_order }
 
   let with_sos1 sos1 t = { t with sos1 }
 
@@ -109,22 +84,23 @@ module Config = struct
       invalid_arg "Solver.Config.with_root_bound: bound must be finite";
     { t with root_bound = Some b }
 
-  let with_presolve presolve t = { t with presolve }
-
-  let with_pricing pricing t = { t with pricing }
-
-  let with_refactor refactor t = { t with refactor = Some refactor }
-
   let with_fixings fixings t = { t with fixings }
-
-  let with_log log t = { t with log = Some log }
-
-  let with_cache cache t = { t with cache = Some cache }
 
   let with_fault fault t = { t with fault = Some fault }
 
   let with_obs obs t = { t with obs }
 end
+
+(* Fixed search constants: relative optimality gap, integrality
+   tolerance, the depth up to which relaxations are memoized, and the
+   pseudocost reliability threshold. *)
+let gap_rel = 1e-9
+
+let int_tol = 1e-6
+
+let cache_depth = 4
+
+let reliability = 4
 
 type stop_reason = Node_limit | Time_limit | Iter_limit
 
@@ -294,11 +270,6 @@ let solve ?(config = Config.default) model =
      bound-override solve against this shared structure. *)
   let compiled = Compiled.of_model wm in
   let int_vars = Model.integer_vars wm in
-  let log fmt =
-    Format.kasprintf
-      (fun s -> match config.log with Some f -> f s | None -> ())
-      fmt
-  in
   let wall_start = Unix.gettimeofday () in
   let cpu_start = Sys.time () in
   (* Observability: counters/histograms are no-ops on the disabled
@@ -354,11 +325,7 @@ let solve ?(config = Config.default) model =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.pivots_bland"
   in
   let c_pricing_pivots =
-    Dvs_obs.Metrics.counter mx ~stability:Volatile
-      (match config.pricing with
-      | Simplex.Steepest_edge -> "lp.pivots_steepest_edge"
-      | Simplex.Dantzig -> "lp.pivots_dantzig"
-      | Simplex.Bland -> "lp.pivots_bland_rule")
+    Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.pivots_steepest_edge"
   in
   let c_flips =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.bound_flips"
@@ -500,18 +467,15 @@ let solve ?(config = Config.default) model =
       Atomic.set inc_obj s.objective
     end;
     Mutex.unlock inc_lock;
-    if take then begin
-      if obs_on then
-        Tr.event tr "solver.incumbent"
-          ~attrs:[ ("objective", Tr.Float s.objective) ];
-      log "incumbent %g" s.objective
-    end
+    if take && obs_on then
+      Tr.event tr "solver.incumbent"
+        ~attrs:[ ("objective", Tr.Float s.objective) ]
   in
   let gap_prune bound =
     let inc = Atomic.get inc_obj in
     Float.is_finite inc
     &&
-    let slack = config.gap_rel *. Float.max 1.0 (Float.abs inc) in
+    let slack = gap_rel *. Float.max 1.0 (Float.abs inc) in
     match sense with
     | Model.Minimize -> bound >= inc -. slack
     | Maximize -> bound <= inc +. slack
@@ -520,7 +484,7 @@ let solve ?(config = Config.default) model =
     List.for_all
       (fun v ->
         let x = s.values.(v) in
-        Float.abs (x -. Float.round x) <= config.int_tol)
+        Float.abs (x -. Float.round x) <= int_tol)
       int_vars
   in
   (* LP solves, with pivot accounting; shallow node relaxations are
@@ -553,8 +517,8 @@ let solve ?(config = Config.default) model =
     let fixings = canonical_fixings overrides in
     List.iter (fun (v, lb, ub) -> Compiled.set_bounds sc v ~lb ~ub) fixings;
     let st, b, (sst : Simplex.stats) =
-      Simplex.solve_compiled ~pricing:config.pricing
-        ?refactor:config.refactor ?max_iter ?basis ~ws:workspaces.(wid) sc
+      Simplex.solve_compiled ?refactor:config.refactor ?max_iter ?basis
+        ~ws:workspaces.(wid) sc
     in
     List.iter (fun (v, _, _) -> Compiled.reset_bounds sc v) fixings;
     ignore (Atomic.fetch_and_add lp_pivots sst.Simplex.pivots);
@@ -581,7 +545,7 @@ let solve ?(config = Config.default) model =
     (st, b)
   in
   let solve_relaxation ~depth ~basis ~wid overrides =
-    let cacheable = depth <= config.cache_depth in
+    let cacheable = depth <= cache_depth in
     let forced_miss =
       (* Only consult (and advance) the injector on lookups that would
          otherwise hit the cache path. *)
@@ -615,7 +579,7 @@ let solve ?(config = Config.default) model =
     fun v -> Hashtbl.mem tbl v
   in
   let rounding_pass ~wid path overrides (s : Simplex.solution) =
-    if config.rounding && int_vars <> [] then begin
+    if int_vars <> [] then begin
       (* Rounded fixings are consed onto the node's overrides; consing
          later means innermost, so they win in [effective_bounds] and in
          [canonical_fixings] inside [lp_solve]. *)
@@ -649,7 +613,7 @@ let solve ?(config = Config.default) model =
           if not (in_sos1 v) then begin
             let lb, ub = bounds_of v in
             let x = Float.max lb (Float.min ub (Float.round s.values.(v))) in
-            if Float.abs (x -. Float.round x) <= config.int_tol then
+            if Float.abs (x -. Float.round x) <= int_tol then
               fixes := (v, x, x) :: !fixes
             else ok := false
           end)
@@ -672,9 +636,7 @@ let solve ?(config = Config.default) model =
       if !budget <= 0 then ()
       else begin
         decr budget;
-        match
-          Ties.most_fractional ~int_tol:config.int_tol int_vars s.values
-        with
+        match Ties.most_fractional ~int_tol int_vars s.values with
         | None -> try_incumbent path s
         | Some v ->
           let lb, ub = effective_bounds wm overrides v in
@@ -760,7 +722,6 @@ let solve ?(config = Config.default) model =
   let cmp_nodes a b =
     Ties.compare_nodes
       ~minimize:(sense = Model.Minimize)
-      ~depth_first:(config.node_order = Config.Depth_first)
       (a.bound, a.depth, a.path) (b.bound, b.depth, b.path)
   in
   let queues = Array.init n_workers (fun _ -> Work_queue.create ~cmp:cmp_nodes) in
@@ -782,9 +743,7 @@ let solve ?(config = Config.default) model =
   (* Classic most-fractional variable dichotomy — the default, and the
      fallback when the entity view finds nothing to branch on. *)
   let branch_fractional wid n (s : Simplex.solution) basis =
-    match
-      Ties.most_fractional ~int_tol:config.int_tol int_vars s.values
-    with
+    match Ties.most_fractional ~int_tol int_vars s.values with
     | None -> try_incumbent n.path s
     | Some v ->
       let x = s.values.(v) in
@@ -818,7 +777,7 @@ let solve ?(config = Config.default) model =
     in
     let candidates = ref [] in
     for e = n_entities - 1 downto 0 do
-      if frac_of e > config.int_tol then candidates := e :: !candidates
+      if frac_of e > int_tol then candidates := e :: !candidates
     done;
     match !candidates with
     | [] -> branch_fractional wid n s basis
@@ -843,7 +802,7 @@ let solve ?(config = Config.default) model =
           for i = 0 to k - 1 do
             let xi = s.values.(vars.(i)) in
             total := !total +. xi;
-            if xi > config.int_tol then begin
+            if xi > int_tol then begin
               if !first < 0 then first := i;
               last := i
             end
@@ -896,7 +855,7 @@ let solve ?(config = Config.default) model =
             let down, up = child_sets e in
             let d_avg, u_avg, cnt = pc_read e in
             let score =
-              if cnt < config.reliability && !probes_left > 0 then begin
+              if cnt < reliability && !probes_left > 0 then begin
                 decr probes_left;
                 let probe dir = function
                   | None -> 1e12
@@ -1030,8 +989,7 @@ let solve ?(config = Config.default) model =
                    ~attrs:
                      [ ("depth", Tr.Int n.depth);
                        ("message", Tr.String c.message) ]
-             end;
-             log "worker %d crashed at depth %d: %s" wid n.depth c.message);
+             end);
           Atomic.decr in_flight
         | None ->
           if Atomic.get in_flight = 0 then running := false
@@ -1192,5 +1150,4 @@ let solve ?(config = Config.default) model =
         [ ("outcome", Tr.String (Format.asprintf "%a" pp_outcome r.outcome));
           ("nodes", Tr.Int stats.nodes);
           ("bound", Tr.Float bound) ];
-  log "done: %a (%a)" pp_outcome r.outcome pp_stats r.stats;
   r

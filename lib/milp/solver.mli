@@ -7,12 +7,12 @@
     owns a best-bound {!Work_queue} of open nodes and steals from its
     peers when idle; child nodes warm start their LP relaxation from the
     parent's optimal basis ({!Dvs_lp.Simplex.solve_ext}); and shallow
-    relaxations are memoized in an {!Lp_cache} that callers can share
-    across solves of near-identical models.
+    relaxations (depth up to 4) are memoized in an {!Lp_cache} that
+    callers can share across solves of near-identical models.
 
     {b Determinism.} The reported objective is reproducible regardless of
     worker count: fathoming only ever discards subtrees whose bound is
-    within [gap_rel] slack of an incumbent (so nothing meaningfully
+    within {!gap_rel} slack of an incumbent (so nothing meaningfully
     better than the final incumbent is lost), incumbent merging is
     tie-broken by the lexicographically smallest branch path, and cached
     relaxations are solved without the basis hint so cache contents never
@@ -31,7 +31,10 @@
     structure whose LP relaxations are close to integral. *)
 
 (** Builder-style solver configuration; construct with {!Config.make} and
-    refine with the [with_*] combinators. *)
+    refine with the [with_*] combinators.  The search constants (the
+    {!gap_rel} gap, an integrality tolerance of 1e-6, memoization depth 4,
+    pseudocost reliability 4, steepest-edge pricing, best-bound node
+    order, the rounding heuristic always on) are fixed. *)
 module Config : sig
   type branching =
     | Fractional
@@ -42,20 +45,13 @@ module Config : sig
         (** branch on SOS1 mode groups (GUB dichotomy splitting the
             group's fractional mass) and leftover integer variables,
             scored by pseudocosts with reliability initialization
-            (pivot-capped probe LPs until an entity has
-            [reliability] observations per direction) *)
-
-  type node_order =
-    | Best_bound  (** explore smallest-bound nodes first (default) *)
-    | Depth_first  (** dive: deepest nodes first, bound as tie-break *)
+            (pivot-capped probe LPs until an entity has four
+            observations per direction) *)
 
   type t = {
     jobs : int;  (** worker domains; default [Domain.recommended_domain_count ()] *)
     max_nodes : int;  (** node budget; default 200_000 *)
-    int_tol : float;  (** integrality tolerance; default 1e-6 *)
-    gap_rel : float;  (** relative optimality gap to stop at; default 1e-9 *)
     time_limit : float option;  (** wall-clock seconds *)
-    rounding : bool;  (** run the rounding heuristic (root and spine) *)
     sos1 : Dvs_lp.Model.var list list;
         (** groups whose binaries sum to 1; guides the rounding heuristic
             (the one-mode-per-edge structure of the DVS formulation) *)
@@ -73,11 +69,9 @@ module Config : sig
             relaxation); replaces the infinite root bound, so a
             within-gap [warm_solution] fathoms the whole tree at zero
             nodes *)
-    log : (string -> unit) option;
     cache : Lp_cache.t option;
         (** share an LP-relaxation cache across solves; a private one is
             created per solve when absent *)
-    cache_depth : int;  (** memoize relaxations up to this depth; default 4 *)
     fault : Fault.t option;
         (** fault injector (tests and the resilience bench); [None] in
             production solves *)
@@ -88,43 +82,29 @@ module Config : sig
         (** run the MILP-safe {!Dvs_lp.Presolve} reductions before
             compiling; default [true].  Solutions are postsolved back to
             the original variable space, so results are indistinguishable
-            except faster. *)
-    pricing : Dvs_lp.Simplex.pricing;
-        (** simplex pricing rule for every relaxation; default
-            {!Dvs_lp.Simplex.Steepest_edge} *)
+            except faster.  [false] is the reference path of the
+            presolve-equivalence tests. *)
     refactor : Dvs_lp.Simplex.refactor_policy option;
         (** basis refactorization trigger override; [None] (default)
-            uses {!Dvs_lp.Simplex.default_refactor} *)
+            uses {!Dvs_lp.Simplex.default_refactor}.  Set only by the
+            refactorization-equivalence tests. *)
     fixings : (Dvs_lp.Model.var * float) list;
         (** externally implied variable fixings (e.g.
             [Dvs_core.Formulation.implied_fixings] from the edge filter),
             fed to presolve as exact bounds before the first round *)
     branching : branching;
         (** branching rule; default {!Fractional} (see {!branching}) *)
-    node_order : node_order;
-        (** node selection order within each worker queue; default
-            {!Best_bound} *)
-    reliability : int;
-        (** pseudocost reliability threshold: entities with fewer than
-            this many observed gains per direction are probed with a
-            pivot-capped LP before trusting their score; default 4 *)
   }
 
   val make :
-    ?jobs:int -> ?max_nodes:int -> ?time_limit:float -> ?gap_rel:float ->
-    ?int_tol:float -> ?rounding:bool -> ?log:(string -> unit) ->
-    ?cache:Lp_cache.t -> ?cache_depth:int -> ?fault:Fault.t ->
-    ?obs:Dvs_obs.t -> ?presolve:bool -> ?pricing:Dvs_lp.Simplex.pricing ->
-    ?refactor:Dvs_lp.Simplex.refactor_policy ->
-    ?branching:branching -> ?node_order:node_order -> ?reliability:int ->
-    unit -> t
-  (** Raises [Invalid_argument] if [jobs < 1], [reliability < 0], or the
-      [refactor] policy has a non-positive trigger. *)
+    ?jobs:int -> ?max_nodes:int -> ?time_limit:float ->
+    ?cache:Lp_cache.t -> ?obs:Dvs_obs.t -> ?presolve:bool ->
+    ?refactor:Dvs_lp.Simplex.refactor_policy -> unit -> t
+  (** Raises [Invalid_argument] if [jobs < 1] or the [refactor] policy
+      has a non-positive trigger. *)
 
   val default : t
   (** [make ()]. *)
-
-  val with_jobs : int -> t -> t
 
   val with_sos1 : Dvs_lp.Model.var list list -> t -> t
 
@@ -135,26 +115,20 @@ module Config : sig
   val with_root_bound : float -> t -> t
   (** Raises [Invalid_argument] when the bound is not finite. *)
 
-  val with_presolve : bool -> t -> t
-
-  val with_pricing : Dvs_lp.Simplex.pricing -> t -> t
-
-  val with_refactor : Dvs_lp.Simplex.refactor_policy -> t -> t
-
   val with_fixings : (Dvs_lp.Model.var * float) list -> t -> t
 
   val with_branching : branching -> t -> t
-
-  val with_node_order : node_order -> t -> t
-
-  val with_log : (string -> unit) -> t -> t
-
-  val with_cache : Lp_cache.t -> t -> t
 
   val with_fault : Fault.t -> t -> t
 
   val with_obs : Dvs_obs.t -> t -> t
 end
+
+val gap_rel : float
+(** [1e-9]: the relative optimality gap every solve stops at.  A node is
+    fathomed when its bound is within [gap_rel * max 1 |incumbent|] of
+    the incumbent; the sweep's pre-pruning certificate uses the same
+    slack. *)
 
 type stop_reason =
   | Node_limit

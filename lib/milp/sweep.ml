@@ -28,13 +28,11 @@ type t = {
   stats : stats;
 }
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+(* Gomory cuts kept per root cutting round. *)
+let max_cuts_per_round = 16
 
-let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
-    ?pool ?per_point ?point_bound ?point_seed ~model ~deadline_row ~deadlines
-    () =
+let run ?config ?(cut_rounds = 3) ?pool ?per_point ?point_bound ?point_seed
+    ~model ~deadline_row ~deadlines () =
   let config =
     match config with
     | Some c -> c
@@ -42,9 +40,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
         Solver.Config.with_branching Solver.Config.Pseudocost_gub
           Solver.Config.default
   in
-  if instances < 1 then invalid_arg "Sweep.run: instances < 1";
   if cut_rounds < 0 then invalid_arg "Sweep.run: cut_rounds < 0";
-  if max_cuts_per_round < 0 then invalid_arg "Sweep.run: max_cuts_per_round < 0";
   let np = Array.length deadlines in
   if np = 0 then invalid_arg "Sweep.run: empty deadlines";
   Array.iter
@@ -85,7 +81,6 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
              else None)
   in
   let pool = match pool with Some p -> p | None -> Cuts.Pool.create () in
-  let pool_lock = Mutex.create () in
   (* Tightest deadline first: its optimum stays feasible at every looser
      point and lifts forward as a warm incumbent.  Ties keep input order. *)
   let order = Array.init np Fun.id in
@@ -97,19 +92,17 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
     order;
   let base_compiled = Compiled.of_model model in
   let sense = fst (Model.objective model) in
-  let done_lock = Mutex.create () in
-  (* Best lift source per processing position: the loosest completed
-     tighter point (scanned newest first). *)
+  (* Lift source per processing position: the solution of each completed
+     point that produced one. *)
   let completed : Simplex.solution option array = Array.make np None in
   let results : point option array = Array.make np None in
-  let warm_count = Atomic.make 0 in
-  let pruned_count = Atomic.make 0 in
-  let separated_count = Atomic.make 0 in
-  let applied_count = Atomic.make 0 in
-  let pool_hit_count = Atomic.make 0 in
-  let root_pivot_count = Atomic.make 0 in
-  let cert_failures = Atomic.make 0 in
-  let next = Atomic.make 0 in
+  let warm_count = ref 0 in
+  let pruned_count = ref 0 in
+  let separated_count = ref 0 in
+  let applied_count = ref 0 in
+  let pool_hit_count = ref 0 in
+  let root_pivot_count = ref 0 in
+  let cert_failures = ref 0 in
   let point_config idx d lift =
     let cfg =
       match per_point with None -> config | Some f -> f idx d config
@@ -139,9 +132,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
            sweeps bit-identical. *)
         let cfg = Solver.Config.with_warm_solution sol cfg in
         let obj = sol.Simplex.objective in
-        let slack =
-          config.Solver.Config.gap_rel *. Float.max 1.0 (Float.abs obj)
-        in
+        let slack = Solver.gap_rel *. Float.max 1.0 (Float.abs obj) in
         let fixings =
           match (seed, sense) with
           | Some (fx, sobj), Model.Minimize when sobj < obj -. slack -> fx
@@ -150,20 +141,20 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
         in
         (Solver.Config.with_warm_start fixings cfg, true)
   in
+  (* The loosest completed tighter point with a solution. *)
   let take_lift k =
-    locked done_lock (fun () ->
-        let rec scan j = if j < 0 then None else
-          match completed.(j) with Some _ as s -> s | None -> scan (j - 1)
-        in
-        scan (k - 1))
+    let rec scan j =
+      if j < 0 then None
+      else match completed.(j) with Some _ as s -> s | None -> scan (j - 1)
+    in
+    scan (k - 1)
   in
   let record k idx pt =
-    locked done_lock (fun () ->
-        (match (pt.result.Solver.outcome, pt.result.Solver.solution) with
-        | (Solver.Optimal | Solver.Feasible _ | Solver.Degraded _), Some s ->
-            completed.(k) <- Some s
-        | _ -> ());
-        results.(idx) <- Some pt)
+    (match (pt.result.Solver.outcome, pt.result.Solver.solution) with
+    | (Solver.Optimal | Solver.Feasible _ | Solver.Degraded _), Some s ->
+        completed.(k) <- Some s
+    | _ -> ());
+    results.(idx) <- Some pt
   in
   (* The root cutting loop for one point: solve the LP relaxation of the
      cut-augmented point model, separate violated cuts off its tableau,
@@ -174,12 +165,11 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
     let n_pooled = List.length pooled in
     let root_lp ?basis cp =
       let st, b, ls =
-        Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-          ?refactor:config.Solver.Config.refactor ?basis ~ws cp
+        Simplex.solve_compiled ?refactor:config.Solver.Config.refactor ?basis
+          ~ws cp
       in
       root_pivots := !root_pivots + ls.Simplex.pivots;
-      Atomic.fetch_and_add cert_failures ls.Simplex.certificate_failures
-      |> ignore;
+      cert_failures := !cert_failures + ls.Simplex.certificate_failures;
       (st, b)
     in
     (* Cut-free chained LP first: same compiled form as the previous
@@ -220,24 +210,20 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
           | Some (cp, bc, Simplex.Optimal sol) when r < cut_rounds ->
               let x = sol.Simplex.values in
               let gom =
-                if max_cuts_per_round = 0 then []
-                else
-                  match Simplex.tableau cp bc with
-                  | None -> []
-                  | Some tab ->
-                      Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
-                        ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
-                        ~max_cuts:max_cuts_per_round
+                match Simplex.tableau cp bc with
+                | None -> []
+                | Some tab ->
+                    Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
+                      ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
+                      ~max_cuts:max_cuts_per_round
               in
               let cov = Cuts.covers ~row:cover_row ~deadline:d ~x in
               let gub = Cuts.gub_covers ~groups:gub_groups ~deadline:d ~x in
               let fresh = gom @ cov @ gub in
               if fresh = [] then ()
               else begin
-                Atomic.fetch_and_add separated_count (List.length fresh)
-                |> ignore;
-                locked pool_lock (fun () ->
-                    List.iter (fun c -> ignore (Cuts.Pool.add pool c)) fresh);
+                separated_count := !separated_count + List.length fresh;
+                List.iter (fun c -> ignore (Cuts.Pool.add pool c)) fresh;
                 List.iter (Cuts.add_to_model mp) fresh;
                 applied_rev := List.rev_append fresh !applied_rev;
                 let cp' = Compiled.of_model mp in
@@ -271,9 +257,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
           match f idx d with
           | Some cb ->
               let obj = sol.Simplex.objective in
-              let slack =
-                config.Solver.Config.gap_rel *. Float.max 1.0 (Float.abs obj)
-              in
+              let slack = Solver.gap_rel *. Float.max 1.0 (Float.abs obj) in
               let certifies =
                 match sense with
                 | Model.Minimize -> cb >= obj -. slack
@@ -285,8 +269,8 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
     in
     match (prune_cert, lift) with
     | Some cb, Some sol ->
-        Atomic.incr warm_count;
-        Atomic.incr pruned_count;
+        incr warm_count;
+        incr pruned_count;
         let result =
           { Solver.outcome = Solver.Optimal; solution = Some sol; bound = cb;
             stats =
@@ -301,9 +285,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
     | _ ->
         let mp = Model.copy model in
         Model.set_constraint_rhs mp deadline_row d;
-        let pooled =
-          locked pool_lock (fun () -> Cuts.Pool.applicable pool ~deadline:d)
-        in
+        let pooled = Cuts.Pool.applicable pool ~deadline:d in
         List.iter (Cuts.add_to_model mp) pooled;
         let hits =
           List.length (List.filter (fun c -> c.Cuts.born <> d) pooled)
@@ -313,11 +295,11 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
           with _ -> (List.length pooled, 0)
         in
         let cfg, warm_started = point_config idx d lift in
-        if warm_started then Atomic.incr warm_count;
+        if warm_started then incr warm_count;
         let result = Solver.solve ~config:cfg mp in
-        Atomic.fetch_and_add applied_count n_applied |> ignore;
-        Atomic.fetch_and_add pool_hit_count hits |> ignore;
-        Atomic.fetch_and_add root_pivot_count root_pivots |> ignore;
+        applied_count := !applied_count + n_applied;
+        pool_hit_count := !pool_hit_count + hits;
+        root_pivot_count := !root_pivot_count + root_pivots;
         record k idx
           { deadline = d; result; cuts_applied = n_applied; pool_hits = hits;
             warm_started; root_pivots; pruned_by_bound = false }
@@ -337,60 +319,45 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
         { deadline = d; result; cuts_applied = 0; pool_hits = 0;
           warm_started = false; root_pivots = 0; pruned_by_bound = false }
   in
-  let worker () =
-    let ws = Simplex.workspace () in
-    let c0 = Compiled.scratch base_compiled in
-    let chain = ref None in
-    let rec drain () =
-      let k = Atomic.fetch_and_add next 1 in
-      if k < np then begin
-        safe_point ws c0 chain k;
-        drain ()
-      end
-    in
-    drain ()
-  in
-  let n_workers = Int.min instances np in
-  if n_workers <= 1 then worker ()
-  else begin
-    let doms = Array.init (n_workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join doms
-  end;
+  (* Points run in processing order on one LP workspace, chaining each
+     root LP's optimal basis into the next point's. *)
+  let ws = Simplex.workspace () in
+  let c0 = Compiled.scratch base_compiled in
+  let chain = ref None in
+  for k = 0 to np - 1 do
+    safe_point ws c0 chain k
+  done;
   let points =
-    Array.mapi
-      (fun idx -> function
+    Array.map
+      (function
         | Some p -> p
-        | None ->
-            (* unreachable: every position is drained exactly once *)
-            invalid_arg
-              (Printf.sprintf "Sweep.run: point %d missing a result" idx))
+        | None -> assert false (* every position ran exactly once *))
       results
   in
   let stats =
     {
-      instances_warm_started = Atomic.get warm_count;
-      cuts_separated = Atomic.get separated_count;
-      cuts_applied = Atomic.get applied_count;
-      cut_pool_hits = Atomic.get pool_hit_count;
+      instances_warm_started = !warm_count;
+      cuts_separated = !separated_count;
+      cuts_applied = !applied_count;
+      cut_pool_hits = !pool_hit_count;
       pool_size = Cuts.Pool.size pool;
-      root_pivots = Atomic.get root_pivot_count;
-      points_pruned_by_bound = Atomic.get pruned_count;
+      root_pivots = !root_pivot_count;
+      points_pruned_by_bound = !pruned_count;
     }
   in
   let mx = Dvs_obs.metrics config.Solver.Config.obs in
   let module Mc = Dvs_obs.Metrics.Counter in
   let c name = Dvs_obs.Metrics.counter mx ~stability:Volatile name in
+  (* Points run in a fixed order, but these counters stay Volatile:
+     reclassifying them would change the set `bench-diff --same-stable`
+     compares. *)
   Mc.add (c "sweep.points") ~slot:0 np;
   Mc.add (c "sweep.instances_warm_started") ~slot:0 stats.instances_warm_started;
-  (* Volatile like the warm-start counter: at instances > 1 the lift a
-     point sees depends on scheduling, so the pruned tally may differ
-     across job counts (results never do). *)
   Mc.add (c "sweep.points_pruned_by_bound") ~slot:0 stats.points_pruned_by_bound;
   Mc.add (c "cuts.separated") ~slot:0 stats.cuts_separated;
   Mc.add (c "cuts.applied") ~slot:0 stats.cuts_applied;
   Mc.add (c "cuts.pool_hits") ~slot:0 stats.cut_pool_hits;
   Mc.add
     (Dvs_obs.Metrics.counter mx ~stability:Stable "lp.certificate_failures")
-    ~slot:0 (Atomic.get cert_failures);
+    ~slot:0 !cert_failures;
   { points; stats }

@@ -22,16 +22,17 @@
     - {b Dual-bound pre-pruning.}  When the caller supplies
       [point_bound] (e.g. the exact continuous-schedule relaxation of
       {!Dvs_core.Relaxation}) and its bound already certifies the lifted
-      incumbent optimal within [config.gap_rel], the point is answered
+      incumbent optimal within {!Solver.gap_rel}, the point is answered
       from the lift directly: zero cuts, zero LP solves, zero nodes.
       The pruned point's solution is the lifted object itself — the
       bits a full solve would return, since a seeded incumbent is only
       displaced by a {e strict} improvement and the certificate rules
       one out.
-    - {b Cross-instance basis reuse.}  Each worker keeps the optimal
-      basis of its previous point's root LP; the next point re-solves
-      the same compiled form after {!Dvs_lp.Compiled.set_rhs}, which is
-      exactly a dual-simplex reoptimization from that basis.
+    - {b Cross-point basis reuse.}  Points run one after another; each
+      keeps the optimal basis of the previous point's root LP and
+      re-solves the same compiled form after
+      {!Dvs_lp.Compiled.set_rhs}, which is exactly a dual-simplex
+      reoptimization from that basis.
     - {b A shared deduplicated cut pool.}  Each point runs a bounded
       root cutting loop ({!Cuts.gomory}, {!Cuts.covers},
       {!Cuts.gub_covers}); separated cuts land in a {!Cuts.Pool.t}
@@ -85,9 +86,7 @@ type t = {
 
 val run :
   ?config:Solver.Config.t ->
-  ?instances:int ->
   ?cut_rounds:int ->
-  ?max_cuts_per_round:int ->
   ?pool:Cuts.Pool.t ->
   ?per_point:(int -> float -> Solver.Config.t -> Solver.Config.t) ->
   ?point_bound:(int -> float -> float option) ->
@@ -106,24 +105,22 @@ val run :
     {!Solver.Config.default} with {!Solver.Config.Pseudocost_gub}
     branching); its [sos1] groups both guide branching and feed the GUB
     cover separator, and its [cache]/[obs] are shared across points.
-    [instances] (default 1) runs that many sweep points concurrently on
-    separate domains — each point's own solve still uses [config.jobs]
-    workers.  [cut_rounds] (default 3) bounds the root cutting loop per
-    point and [max_cuts_per_round] (default 16) the Gomory cuts kept per
-    round; [cut_rounds = 0] disables separation (pooled cuts from
-    [pool] are still applied).  [pool] shares a cut pool across
-    successive sweeps (default: a private pool per call).  [per_point i
+    Points are solved one at a time, each with [config.jobs] workers.
+    [cut_rounds] (default 3) bounds the root cutting loop per point,
+    which keeps at most 16 Gomory cuts per round; [cut_rounds = 0]
+    disables separation (pooled cuts from [pool] are still applied).
+    [pool] shares a cut pool across successive sweeps (default: a
+    private pool per call).  [per_point i
     d cfg] customizes the configuration of point [i] (input order,
     deadline [d]) — it runs before incumbent lifting, which sets
-    [warm_solution] whenever a tighter point has completed.
+    [warm_solution] to the loosest completed tighter point's solution
+    whenever one exists.
 
     [point_bound i d] returns a proven dual bound on point [i]'s optimum
     (model objective units; [None] when unavailable).  It must be valid
     — for the DVS formulation, the exact continuous relaxation is — and
     is consulted only when a lifted incumbent exists; a certifying bound
-    prunes the point as described above.  The callback may run from
-    several domains concurrently when [instances > 1], so it must be
-    thread-safe (a pure function of its arguments is).
+    prunes the point as described above.
 
     [point_seed i d] returns known-feasible warm fixings for point [i]
     plus their exact objective (e.g. the rounded continuous schedule of
@@ -131,12 +128,11 @@ val run :
     fixings replace [config.warm_start] as the materialized incumbent;
     on a lifted point they are materialized {e in addition to} the seed
     only when their objective strictly beats the lift beyond the
-    [config.gap_rel] slack — so a certifiable point never gains an
+    {!Solver.gap_rel} slack — so a certifiable point never gains an
     extra solve and pruned/unpruned sweeps stay bit-identical.  When a
     lift exists, the configured [warm_start] fixing itself is dropped:
     a lifted optimum is never worse than a generic feasibility fixing,
-    so materializing one cannot improve the incumbent.  Same
-    thread-safety contract as [point_bound].
+    so materializing one cannot improve the incumbent.
 
     Raises [Invalid_argument] on an empty or non-finite [deadlines], an
-    out-of-range or non-[Le] [deadline_row], or [instances < 1]. *)
+    out-of-range or non-[Le] [deadline_row], or [cut_rounds < 0]. *)

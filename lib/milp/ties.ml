@@ -38,15 +38,7 @@ let pick_max scored =
 
 let path_compare a b = Stdlib.compare (List.rev a) (List.rev b)
 
-let compare_nodes ~minimize ~depth_first (ba, da, pa) (bb, db, pb) =
-  let bound () = if minimize then compare ba bb else compare bb ba in
-  let depth () = Int.compare db da in
-  let c =
-    if depth_first then
-      let c = depth () in
-      if c <> 0 then c else bound ()
-    else
-      let c = bound () in
-      if c <> 0 then c else depth ()
-  in
+let compare_nodes ~minimize (ba, da, pa) (bb, db, pb) =
+  let c = if minimize then compare ba bb else compare bb ba in
+  let c = if c <> 0 then c else Int.compare db da in
   if c <> 0 then c else path_compare pa pb

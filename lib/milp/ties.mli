@@ -29,13 +29,11 @@ val pick_max : (int * float) list -> int option
 
 val compare_nodes :
   minimize:bool ->
-  depth_first:bool ->
   float * int * int list ->
   float * int * int list ->
   int
 (** Open-node order on [(bound, depth, path)], smallest first: best
-    bound (the smaller one when minimizing) then deeper first — or,
-    with [depth_first], deeper first then best bound — then the
+    bound (the smaller one when minimizing), then deeper first, then the
     root-first lexicographic order of the branch paths (stored
     innermost-first).  Bounds are compared with {!compare}. *)
 

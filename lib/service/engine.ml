@@ -15,9 +15,7 @@ module Config = struct
     queue_depth : int;
     default_budget_s : float;
     batch_max : int;
-    batch_window : float;
     reply_cache : int;
-    solver_jobs : int;
     max_nodes : int;
     capacitance : float;
     levels : int option;
@@ -26,23 +24,27 @@ module Config = struct
   }
 
   let make ?(workers = 2) ?(queue_depth = 64) ?(default_budget_s = 2.0)
-      ?(batch_max = 8) ?(batch_window = 0.05) ?(reply_cache = 1024)
-      ?(solver_jobs = 1) ?(max_nodes = 4000) ?(capacitance = 0.4e-6) ?levels
-      ?store_root ?(obs = Dvs_obs.disabled) () =
+      ?(batch_max = 8) ?(reply_cache = 1024) ?(max_nodes = 4000)
+      ?(capacitance = 0.4e-6) ?levels ?store_root ?(obs = Dvs_obs.disabled)
+      () =
     if workers < 1 then invalid_arg "Engine.Config: workers must be >= 1";
     if queue_depth < 1 then
       invalid_arg "Engine.Config: queue_depth must be >= 1";
     if batch_max < 1 then invalid_arg "Engine.Config: batch_max must be >= 1";
     if not (default_budget_s > 0.0) then
       invalid_arg "Engine.Config: default_budget_s must be > 0";
-    if solver_jobs < 1 then
-      invalid_arg "Engine.Config: solver_jobs must be >= 1";
-    { workers; queue_depth; default_budget_s; batch_max; batch_window;
-      reply_cache; solver_jobs; max_nodes; capacitance; levels; store_root;
-      obs }
+    { workers; queue_depth; default_budget_s; batch_max; reply_cache;
+      max_nodes; capacitance; levels; store_root; obs }
 
   let default = make ()
 end
+
+(* Deadline-fraction window for near-duplicate batching. *)
+let batch_window = 0.05
+
+(* MILP worker domains per request: concurrency comes from the service
+   workers, not from inside one solve. *)
+let solver_jobs = 1
 
 (* ---- warm model store ------------------------------------------------ *)
 
@@ -271,7 +273,7 @@ let reply_of job ~queue_ms ~service_ms ~batched body =
 
 let solver_config t ~time_limit ~fault =
   let c =
-    Dvs_milp.Solver.Config.make ~jobs:t.cfg.Config.solver_jobs
+    Dvs_milp.Solver.Config.make ~jobs:solver_jobs
       ~max_nodes:t.cfg.Config.max_nodes ~time_limit ~cache:t.lp_cache
       ~obs:t.obs ()
   in
@@ -542,11 +544,9 @@ let process t ~slot batch =
         many
     in
     if all_full then (
-      let job0, _, _ = List.hd many in
       try run_batch t ~slot many
       with exn ->
         let msg = "contained worker failure: " ^ Printexc.to_string exn in
-        ignore job0;
         List.iter
           (fun (j, waited, _) ->
             if not (resolved j.iv) then
@@ -593,7 +593,7 @@ let collect_batch t leader =
           match batch_key j with
           | Some (w', i', f') ->
             w' = w && i' = i
-            && Float.abs (f' -. f0) <= t.cfg.Config.batch_window
+            && Float.abs (f' -. f0) <= batch_window
           | None -> false
         in
         if matches then begin

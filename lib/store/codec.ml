@@ -515,51 +515,30 @@ let bool_component b = Key.I (if b then 1 else 0)
 let solver_components (c : Solver.Config.t) =
   [ ("solver.jobs", Key.I c.Solver.Config.jobs);
     ("solver.max_nodes", Key.I c.Solver.Config.max_nodes);
-    ("solver.int_tol", Key.F c.Solver.Config.int_tol);
-    ("solver.gap_rel", Key.F c.Solver.Config.gap_rel);
     ( "solver.time_limit",
       match c.Solver.Config.time_limit with
       | None -> Key.L []
       | Some t -> Key.L [ Key.F t ] );
-    ("solver.rounding", bool_component c.Solver.Config.rounding);
-    ("solver.cache_depth", Key.I c.Solver.Config.cache_depth);
     ("solver.presolve", bool_component c.Solver.Config.presolve);
-    ( "solver.pricing",
-      Key.S
-        (match c.Solver.Config.pricing with
-        | Simplex.Bland -> "bland"
-        | Simplex.Dantzig -> "dantzig"
-        | Simplex.Steepest_edge -> "steepest_edge") );
     ( "solver.branching",
       Key.S
         (match c.Solver.Config.branching with
         | Solver.Config.Fractional -> "fractional"
         | Solver.Config.Pseudocost_gub -> "pseudocost_gub") );
-    ( "solver.node_order",
-      Key.S
-        (match c.Solver.Config.node_order with
-        | Solver.Config.Best_bound -> "best_bound"
-        | Solver.Config.Depth_first -> "depth_first") );
     ( "solver.refactor",
       match c.Solver.Config.refactor with
       | None -> Key.L []
       | Some (Simplex.Pivots k) -> Key.L [ Key.S "pivots"; Key.I k ]
       | Some (Simplex.Eta_fill { max_pivots; growth }) ->
-        Key.L [ Key.S "eta_fill"; Key.I max_pivots; Key.F growth ] );
-    ("solver.reliability", Key.I c.Solver.Config.reliability) ]
+        Key.L [ Key.S "eta_fill"; Key.I max_pivots; Key.F growth ] ) ]
 
 let pipeline_components (c : Pipeline.Config.t) =
   let r = c.Pipeline.Config.resilience in
   [ ("pipe.filter", bool_component c.Pipeline.Config.filter);
-    ("pipe.filter_threshold", Key.F c.Pipeline.Config.filter_threshold);
-    ("pipe.verify", bool_component c.Pipeline.Config.verify);
     ("pipe.cold_verify", bool_component c.Pipeline.Config.cold_verify);
     ( "pipe.continuous_bound",
       bool_component c.Pipeline.Config.continuous_bound );
-    ("pipe.ladder", bool_component r.Pipeline.Resilience.ladder);
     ("pipe.max_retries", Key.I r.Pipeline.Resilience.max_retries);
-    ( "pipe.retry_budget_factor",
-      Key.F r.Pipeline.Resilience.retry_budget_factor );
     ( "pipe.entry",
       Key.S
         (match r.Pipeline.Resilience.entry with

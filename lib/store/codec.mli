@@ -85,8 +85,8 @@ val machine_components :
 val solver_components :
   Dvs_milp.Solver.Config.t -> (string * Key.component) list
 (** The solver parameters that shape the result: jobs, budgets,
-    tolerances, heuristic and branching choices.  Operational fields
-    (log, cache, obs, fault) are excluded — {!Exec} refuses to cache
+    presolve, refactorization and branching choices.  Operational fields
+    (cache, obs, fault) are excluded — {!Exec} refuses to cache
     fault-injected solves outright. *)
 
 val pipeline_components :

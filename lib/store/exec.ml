@@ -84,6 +84,36 @@ let capture_around obs f =
   let after = Capture.state obs in
   (r, Capture.diff ~before ~after)
 
+(* The store protocol shared by solves and sweeps: compose the key (the
+   caller's components, then every pipeline and solver setting), then on
+   a hit replay the stored counters and rehydrate the essence, and on a
+   miss run, capture the counter deltas and store a storable result.
+   [components] is forced only when a store is consulted. *)
+let through_store ?store ~(config : Pipeline.Config.t) ~kind ~components
+    ~decode ~rehydrate ~encode ~storable run =
+  match store with
+  | None -> run ()
+  | Some _ when not (solver_cacheable config.Pipeline.Config.solver) ->
+    run ()
+  | Some st -> (
+    let key =
+      Key.make ~kind
+        (List.concat
+           [ components ();
+             Codec.pipeline_components config;
+             Codec.solver_components config.Pipeline.Config.solver ])
+    in
+    let obs = Pipeline.Config.obs config in
+    match Store.get st key ~decode:(decode_with_counters decode) with
+    | Some (essence, counters) ->
+      Capture.replay obs counters;
+      rehydrate essence
+    | None ->
+      let r, counters = capture_around obs run in
+      if storable r then
+        Store.put st key (payload_with_counters (encode r) counters);
+      r)
+
 (* ---- solve: optimize_multi -------------------------------------------- *)
 
 let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
@@ -91,135 +121,85 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
   let config =
     match config with Some c -> c | None -> Pipeline.Config.default
   in
-  let run () =
-    Pipeline.optimize_multi ~config ?verify_config
-      ?session:(Option.map (fun f -> f ()) session)
-      ~regulator ~memory categories
-  in
-  match store with
-  | None -> run ()
-  | Some _ when not (solver_cacheable config.Pipeline.Config.solver) ->
-    run ()
-  | Some st -> (
+  let components () =
     let vconfig =
       match verify_config with
       | Some c -> c
-      | None ->
-        (List.hd categories).Formulation.profile.Profile.config
+      | None -> (List.hd categories).Formulation.profile.Profile.config
     in
-    let key =
-      Key.make ~kind:"solve"
-        (List.concat
-           [ [ ("ncats", Key.I (List.length categories));
-               ("regulator", Codec.regulator_component regulator);
-               ("memory", Key.S (Codec.memory_fingerprint memory)) ];
-             category_components categories;
-             Codec.machine_components ~prefix:"vm." vconfig;
-             Codec.pipeline_components config;
-             Codec.solver_components config.Pipeline.Config.solver ])
-    in
-    let obs = Pipeline.Config.obs config in
-    match
-      Store.get st key ~decode:(decode_with_counters Codec.essence_of_json)
-    with
-    | Some (essence, counters) ->
-      let prep = Pipeline.prepare ~config ~regulator categories in
-      Capture.replay obs counters;
-      Codec.result_of_essence ~categories
-        ~formulation:prep.Pipeline.prep_formulation
-        ~independent_edges:prep.Pipeline.prep_independent_edges essence
-    | None ->
-      let r, counters = capture_around obs run in
-      if storable_result r then
-        Store.put st key
-          (payload_with_counters
-             (Codec.essence_to_json (Codec.essence_of_result r))
-             counters);
-      r)
+    List.concat
+      [ [ ("ncats", Key.I (List.length categories));
+          ("regulator", Codec.regulator_component regulator);
+          ("memory", Key.S (Codec.memory_fingerprint memory)) ];
+        category_components categories;
+        Codec.machine_components ~prefix:"vm." vconfig ]
+  in
+  let rehydrate essence =
+    let prep = Pipeline.prepare ~config ~regulator categories in
+    Codec.result_of_essence ~categories
+      ~formulation:prep.Pipeline.prep_formulation
+      ~independent_edges:prep.Pipeline.prep_independent_edges essence
+  in
+  through_store ?store ~config ~kind:"solve" ~components
+    ~decode:Codec.essence_of_json ~rehydrate
+    ~encode:(fun r -> Codec.essence_to_json (Codec.essence_of_result r))
+    ~storable:storable_result
+    (fun () ->
+      Pipeline.optimize_multi ~config ?verify_config
+        ?session:(Option.map (fun f -> f ()) session)
+        ~regulator ~memory categories)
 
 (* ---- sweep: optimize_sweep -------------------------------------------- *)
 
-let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
-    ?(instances = 1) ?(cut_rounds = 3) machine cfg ~memory ~deadlines =
+let optimize_sweep ?store ?config ?verify_config ~profile ?session machine
+    cfg ~memory ~deadlines =
   let config =
     match config with Some c -> c | None -> Pipeline.Config.default
   in
-  let run profile =
-    Pipeline.optimize_sweep ~config ?verify_config ?profile ~instances
-      ~cut_rounds
-      ?session:(Option.map (fun f -> f ()) session)
-      machine cfg ~memory ~deadlines
-  in
-  match store with
-  | None -> run prof
-  | Some _ when not (solver_cacheable config.Pipeline.Config.solver) ->
-    run prof
-  | Some st -> (
-    (* The profile pins the key, so resolve it first (through the sim
-       cache when the caller has one wired; bench passes it in). *)
-    let p =
-      match prof with
-      | Some p -> p
-      | None -> Profile.collect machine cfg ~memory
-    in
+  let components () =
     let vconfig =
-      match verify_config with Some c -> c | None -> p.Profile.config
+      match verify_config with
+      | Some c -> c
+      | None -> profile.Profile.config
     in
-    let key =
-      Key.make ~kind:"sweep"
-        (List.concat
-           [ [ ("profile", Key.S (Codec.profile_fingerprint p));
-               ( "deadlines",
-                 Key.L
-                   (Array.to_list deadlines |> List.map (fun d -> Key.F d))
-               );
-               ("memory", Key.S (Codec.memory_fingerprint memory));
-               ("instances", Key.I instances);
-               ("cut_rounds", Key.I cut_rounds) ];
-             Codec.machine_components ~prefix:"m." machine;
-             Codec.machine_components ~prefix:"vm." vconfig;
-             Codec.pipeline_components config;
-             Codec.solver_components config.Pipeline.Config.solver ])
-    in
-    let obs = Pipeline.Config.obs config in
-    let decode j =
-      Result.bind (decode_with_counters Codec.sweep_of_json j)
-        (fun ((sw : Codec.sweep_essence), cs) ->
-          if Array.length sw.Codec.se_points <> Array.length deadlines then
-            Error "sweep: point count does not match deadlines"
-          else Ok (sw, cs))
-    in
-    match Store.get st key ~decode with
-    | Some (sw, counters) ->
-      let regulator = machine.Dvs_machine.Config.regulator in
-      let category d =
-        { Formulation.profile = p; weight = 1.0; deadline = d }
-      in
-      let d_loosest = Array.fold_left Float.max Float.neg_infinity deadlines in
-      let prep =
-        Pipeline.prepare ~config ~regulator [ category d_loosest ]
-      in
-      Capture.replay obs counters;
-      { Pipeline.results =
-          Array.mapi
-            (fun i e ->
-              Codec.result_of_essence
-                ~categories:[ category deadlines.(i) ]
-                ~formulation:prep.Pipeline.prep_formulation
-                ~independent_edges:prep.Pipeline.prep_independent_edges e)
-            sw.Codec.se_points;
-        sweep = sw.Codec.se_stats }
-    | None ->
-      let r, counters = capture_around obs (fun () -> run (Some p)) in
-      let storable =
-        Array.for_all storable_result r.Pipeline.results
-      in
-      if storable then
-        Store.put st key
-          (payload_with_counters
-             (Codec.sweep_to_json
-                { Codec.se_points =
-                    Array.map Codec.essence_of_result r.Pipeline.results;
-                  se_stats = r.Pipeline.sweep })
-             counters);
-      r)
+    List.concat
+      [ [ ("profile", Key.S (Codec.profile_fingerprint profile));
+          ( "deadlines",
+            Key.L (Array.to_list deadlines |> List.map (fun d -> Key.F d)) );
+          ("memory", Key.S (Codec.memory_fingerprint memory)) ];
+        Codec.machine_components ~prefix:"m." machine;
+        Codec.machine_components ~prefix:"vm." vconfig ]
+  in
+  let decode j =
+    Result.bind (Codec.sweep_of_json j) (fun (sw : Codec.sweep_essence) ->
+        if Array.length sw.Codec.se_points <> Array.length deadlines then
+          Error "sweep: point count does not match deadlines"
+        else Ok sw)
+  in
+  let rehydrate (sw : Codec.sweep_essence) =
+    let regulator = machine.Dvs_machine.Config.regulator in
+    let category d = { Formulation.profile; weight = 1.0; deadline = d } in
+    let d_loosest = Array.fold_left Float.max Float.neg_infinity deadlines in
+    let prep = Pipeline.prepare ~config ~regulator [ category d_loosest ] in
+    { Pipeline.results =
+        Array.mapi
+          (fun i e ->
+            Codec.result_of_essence
+              ~categories:[ category deadlines.(i) ]
+              ~formulation:prep.Pipeline.prep_formulation
+              ~independent_edges:prep.Pipeline.prep_independent_edges e)
+          sw.Codec.se_points;
+      sweep = sw.Codec.se_stats }
+  in
+  let encode (r : Pipeline.sweep_result) =
+    Codec.sweep_to_json
+      { Codec.se_points = Array.map Codec.essence_of_result r.Pipeline.results;
+        se_stats = r.Pipeline.sweep }
+  in
+  through_store ?store ~config ~kind:"sweep" ~components ~decode ~rehydrate
+    ~encode
+    ~storable:(fun r -> Array.for_all storable_result r.Pipeline.results)
+    (fun () ->
+      Pipeline.optimize_sweep ~config ?verify_config ~profile
+        ?session:(Option.map (fun f -> f ()) session)
+        machine cfg ~memory ~deadlines)

@@ -58,10 +58,8 @@ val optimize_sweep :
   ?store:Store.t ->
   ?config:Dvs_core.Pipeline.Config.t ->
   ?verify_config:Dvs_machine.Config.t ->
-  ?profile:Dvs_profile.Profile.t ->
+  profile:Dvs_profile.Profile.t ->
   ?session:(unit -> Dvs_core.Verify.Session.t) ->
-  ?instances:int ->
-  ?cut_rounds:int ->
   Dvs_machine.Config.t ->
   Dvs_ir.Cfg.t ->
   memory:int array ->
@@ -69,4 +67,6 @@ val optimize_sweep :
   Dvs_core.Pipeline.sweep_result
 (** Store-backed {!Dvs_core.Pipeline.optimize_sweep}: the whole deadline
     grid is one ["sweep"] entry, so a warm Table-4 grid costs one store
-    read. *)
+    read.  [profile] pins the key; obtain it through {!profile} so a warm
+    run reads it from the store too.  [session] is forced only on a
+    miss, as in {!optimize_multi}. *)

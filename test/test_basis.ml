@@ -285,8 +285,9 @@ let seeded_dvs_milp seed =
 let milp_solve ?fault ?refactor ~jobs (m, sos1) =
   let obs = Dvs_obs.metrics_only () in
   let config =
-    Solver.Config.make ~jobs ?refactor ?fault ~obs ()
+    Solver.Config.make ~jobs ?refactor ~obs ()
     |> Solver.Config.with_sos1 sos1
+    |> Option.fold ~none:Fun.id ~some:Solver.Config.with_fault fault
   in
   let r = Solver.solve ~config m in
   let failures =

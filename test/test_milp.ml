@@ -457,10 +457,10 @@ let qcheck_ties_survive_ulp_noise =
           (fun id (b, depth, path) -> (id, (f id bounds.(b), depth, path)))
           nodes
       in
-      let pop_order ~minimize ~depth_first nl =
+      let pop_order ~minimize nl =
         let q =
           Work_queue.create ~cmp:(fun (_, a) (_, b) ->
-              Ties.compare_nodes ~minimize ~depth_first a b)
+              Ties.compare_nodes ~minimize a b)
         in
         List.iter (Work_queue.push q) nl;
         let rec drain acc =
@@ -474,11 +474,11 @@ let qcheck_ties_survive_ulp_noise =
       && Ties.pick_max (scored (fun _ s -> s))
          = Ties.pick_max (scored (fun e s -> noisy (n + e) s))
       && List.for_all
-           (fun (minimize, depth_first) ->
-             pop_order ~minimize ~depth_first (node_list (fun _ b -> b))
-             = pop_order ~minimize ~depth_first
+           (fun minimize ->
+             pop_order ~minimize (node_list (fun _ b -> b))
+             = pop_order ~minimize
                  (node_list (fun id b -> noisy ((2 * n) + id) b)))
-           [ (true, false); (false, false); (true, true) ])
+           [ true; false ])
 
 let suite =
   [ Alcotest.test_case "knapsack" `Quick test_knapsack;

@@ -130,7 +130,8 @@ let stable_run jobs =
   let fault = Fault.make ~crash_at_nodes:[ 1 ] () in
   let m, k = sos1_model ~groups:8 ~modes:3 ~budget:26.0 in
   let config =
-    Solver.Config.make ~jobs ~fault ~obs ()
+    Solver.Config.make ~jobs ~obs ()
+    |> Solver.Config.with_fault fault
     |> Solver.Config.with_sos1
          (Array.to_list k |> List.map Array.to_list)
     |> Solver.Config.with_warm_start (all_fastest k ~modes:3)
@@ -217,7 +218,7 @@ let test_cache_counters_surface () =
   let cache = Lp_cache.create ~max_entries:2 () in
   let obs = Obs.metrics_only () in
   let m = knapsack_n 12 in
-  let config = Solver.Config.make ~jobs:1 ~cache ~cache_depth:8 ~obs () in
+  let config = Solver.Config.make ~jobs:1 ~cache ~obs () in
   let r = Solver.solve ~config m in
   let stats = r.Solver.stats in
   Alcotest.(check bool)
@@ -344,9 +345,8 @@ let mid_deadline () =
 let test_pipeline_ladder_events () =
   let obs = Obs.create () in
   let solver =
-    Solver.Config.make ~jobs:1 ~max_nodes:500
-      ~fault:(Fault.make ~exhaust_pivots_every:1 ())
-      ()
+    Solver.Config.make ~jobs:1 ~max_nodes:500 ()
+    |> Solver.Config.with_fault (Fault.make ~exhaust_pivots_every:1 ())
   in
   (* The continuous-bound engine is ablated here: its rounded seed would
      ride out pivot exhaustion inside the MILP rung and the ladder would

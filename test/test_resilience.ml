@@ -108,7 +108,8 @@ let test_crash_identical_when_optimal () =
       let solve fault =
         let m, xs = knapsack () in
         let config =
-          Solver.Config.make ~jobs ?fault ()
+          Solver.Config.make ~jobs ()
+          |> Option.fold ~none:Fun.id ~some:Solver.Config.with_fault fault
           |> Solver.Config.with_warm_start
                [ (xs.(0), 0.0); (xs.(1), 1.0); (xs.(2), 1.0) ]
         in
@@ -143,7 +144,8 @@ let test_crash_containment_mid_search () =
       let m, k = sos1_model ~groups:6 ~modes:3 ~budget:20.0 in
       let fault = Fault.make ~crash_at_nodes:[ 1 ] () in
       let config =
-        Solver.Config.make ~jobs ~fault ()
+        Solver.Config.make ~jobs ()
+        |> Solver.Config.with_fault fault
         |> Solver.Config.with_warm_start (all_fastest k ~modes:3)
       in
       let r = Solver.solve ~config m in
@@ -238,9 +240,8 @@ let test_ladder_pivot_exhaustion () =
   List.iter
     (fun jobs ->
       let solver =
-        Solver.Config.make ~jobs ~max_nodes:500
-          ~fault:(Fault.make ~exhaust_pivots_every:1 ())
-          ()
+        Solver.Config.make ~jobs ~max_nodes:500 ()
+        |> Solver.Config.with_fault (Fault.make ~exhaust_pivots_every:1 ())
       in
       let r =
         run_pipeline ~continuous_bound:false solver (mid_deadline ())
@@ -276,9 +277,8 @@ let test_crash_plus_time_limit_recovers () =
   List.iter
     (fun jobs ->
       let solver =
-        Solver.Config.make ~jobs ~max_nodes:4000 ~time_limit:0.01
-          ~fault:(Fault.make ~crash_at_nodes:[ 1 ] ())
-          ()
+        Solver.Config.make ~jobs ~max_nodes:4000 ~time_limit:0.01 ()
+        |> Solver.Config.with_fault (Fault.make ~crash_at_nodes:[ 1 ] ())
       in
       let deadline = mid_deadline () in
       let r = run_pipeline solver deadline in
@@ -306,7 +306,8 @@ let test_forced_cache_misses_harmless () =
   let solve fault =
     let m, _ = sos1_model ~groups:6 ~modes:3 ~budget:20.0 in
     let config =
-      Solver.Config.make ~jobs:1 ~cache:(Lp_cache.create ()) ?fault ()
+      Solver.Config.make ~jobs:1 ~cache:(Lp_cache.create ()) ()
+      |> Option.fold ~none:Fun.id ~some:Solver.Config.with_fault fault
     in
     Solver.solve ~config m
   in

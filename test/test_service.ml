@@ -295,7 +295,7 @@ let test_ladder_entry_points () =
     let config =
       Pipeline.Config.make
         ~solver:(Dvs_milp.Solver.Config.make ~jobs:1 ~max_nodes:2000 ())
-        ~resilience:(Pipeline.Resilience.make ~entry ())
+        ~resilience:{ Pipeline.Resilience.default with entry }
         ()
     in
     Pipeline.optimize_multi ~config

@@ -46,6 +46,57 @@ let entry_path st key = Filename.concat (Store.root st) (Key.filename key)
 
 (* --- keys ------------------------------------------------------------- *)
 
+(* Every result-affecting pipeline and solver setting is a component of
+   the solve key: flipping any one of them must give a key distinct from
+   the default's and from every other flip, so a stored result is never
+   served for another configuration. *)
+let check_solve_key_fields () =
+  let module P = Dvs_core.Pipeline in
+  let module S = Dvs_milp.Solver in
+  let solver = S.Config.make ~jobs:1 () in
+  let base = P.Config.make ~solver () in
+  let res = base.P.Config.resilience in
+  let with_solver solver = { base with P.Config.solver } in
+  let variants =
+    [ ("default", base);
+      ("filter", { base with P.Config.filter = false });
+      ("cold_verify", { base with P.Config.cold_verify = true });
+      ("continuous_bound", { base with P.Config.continuous_bound = false });
+      ( "entry",
+        { base with
+          P.Config.resilience =
+            { res with P.Resilience.entry = P.Resilience.From_rounded_lp } } );
+      ( "max_retries",
+        { base with
+          P.Config.resilience = { res with P.Resilience.max_retries = 0 } } );
+      ("jobs", with_solver { solver with S.Config.jobs = 2 });
+      ("max_nodes", with_solver { solver with S.Config.max_nodes = 10 });
+      ( "time_limit",
+        with_solver { solver with S.Config.time_limit = Some 1.0 } );
+      ("presolve", with_solver { solver with S.Config.presolve = false });
+      ( "refactor",
+        with_solver
+          { solver with S.Config.refactor = Some (Dvs_lp.Simplex.Pivots 8) } );
+      ( "branching",
+        with_solver (S.Config.with_branching S.Config.Pseudocost_gub solver) )
+    ]
+  in
+  let key (c : P.Config.t) =
+    Key.canonical
+      (Key.make ~kind:"solve"
+         (Codec.pipeline_components c
+         @ Codec.solver_components c.P.Config.solver))
+  in
+  let keys = List.map (fun (name, c) -> (name, key c)) variants in
+  List.iteri
+    (fun i (a, ka) ->
+      List.iteri
+        (fun j (b, kb) ->
+          if i < j && ka = kb then
+            Alcotest.failf "%s and %s share a solve key" a b)
+        keys)
+    keys
+
 let test_key () =
   let a =
     Key.make ~kind:"solve" [ ("b", Key.I 2); ("a", Key.F 1.5) ]
@@ -74,7 +125,8 @@ let test_key () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "component name with '|' accepted");
   Alcotest.(check string)
-    "fnv-1a of empty string" "cbf29ce484222325" (Key.hash_hex "")
+    "fnv-1a of empty string" "cbf29ce484222325" (Key.hash_hex "");
+  check_solve_key_fields ()
 
 (* --- envelope round-trip ---------------------------------------------- *)
 
